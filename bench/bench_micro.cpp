@@ -3,8 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "net/packet.hpp"
-#include "proto/gafgyt.hpp"
-#include "proto/mirai.hpp"
+#include "profile/wire.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
@@ -40,23 +39,27 @@ static void BM_PacketWireRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_PacketWireRoundTrip)->Arg(1)->Arg(128)->Arg(1400);
 
 static void BM_MiraiAttackCodec(benchmark::State& state) {
+  const auto mirai = profile::builtin_profile(proto::Family::kMirai);
   proto::AttackCommand cmd;
   cmd.type = proto::AttackType::kSynFlood;
   cmd.target = {net::Ipv4{203, 0, 113, 9}, 443};
   cmd.duration_s = 60;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::mirai::decode_attack(proto::mirai::encode_attack(cmd)));
+    benchmark::DoNotOptimize(profile::wire::decode_binary_attack(
+        mirai, profile::wire::encode_binary_attack(mirai, cmd)));
   }
 }
 BENCHMARK(BM_MiraiAttackCodec);
 
 static void BM_GafgytAttackCodec(benchmark::State& state) {
+  const auto gafgyt = profile::builtin_profile(proto::Family::kGafgyt);
   proto::AttackCommand cmd;
   cmd.type = proto::AttackType::kUdpFlood;
   cmd.target = {net::Ipv4{203, 0, 113, 9}, 80};
   cmd.duration_s = 60;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::gafgyt::decode_attack(proto::gafgyt::encode_attack(cmd)));
+    benchmark::DoNotOptimize(profile::wire::decode_text_attack(
+        gafgyt, profile::wire::encode_text_attack(gafgyt, cmd)));
   }
 }
 BENCHMARK(BM_GafgytAttackCodec);

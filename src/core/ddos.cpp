@@ -5,9 +5,7 @@
 #include <set>
 
 #include "emu/attackgen.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
-#include "proto/mirai.hpp"
+#include "profile/wire.hpp"
 #include "util/str.hpp"
 
 namespace malnet::core {
@@ -65,34 +63,54 @@ bool target_in_command(net::Ipv4 target, util::BytesView command) {
   return util::contains(command, util::BytesView{raw});
 }
 
-void decode_profiles(const C2Message& msg, std::optional<proto::Family> hint,
-                     std::vector<std::pair<util::SimTime, proto::AttackCommand>>* out) {
-  const auto want = [&](proto::Family f) { return !hint || *hint == f; };
+/// The registry's binary and text dialects, in name order; a family hint
+/// keeps only that family's profiles (the builtin plus its variants). IRC,
+/// P2P and TLS-beacon framings carry no decodable attack grammar here.
+struct Dialects {
+  std::vector<const profile::FamilyProfile*> binary, text;
+};
 
-  if (want(proto::Family::kMirai)) {
-    // Binary frames; one frame per message in practice, but walk anyway.
+Dialects dialects_for(const profile::Registry& profiles,
+                      std::optional<proto::Family> hint) {
+  Dialects d;
+  for (const auto* p : profiles.all()) {
+    if (hint && p->id != *hint) continue;
+    if (p->framing == profile::Framing::kBinary) d.binary.push_back(p);
+    if (p->framing == profile::Framing::kText) d.text.push_back(p);
+  }
+  return d;
+}
+
+/// Decodes every attack command in one C2 message. Each length-framed
+/// binary frame and each text line goes to the first dialect that decodes
+/// it, so profiles sharing a grammar (a builtin and its variant) never
+/// yield the same command twice.
+void decode_profiles(const C2Message& msg, const Dialects& dialects,
+                     std::vector<std::pair<util::SimTime, proto::AttackCommand>>* out) {
+  if (!dialects.binary.empty()) {
+    // One frame per message in practice, but walk anyway.
     util::BytesView view{msg.payload};
     while (view.size() >= 2) {
       const std::size_t len = (static_cast<std::size_t>(view[0]) << 8) | view[1];
       if (len == 0 || view.size() < 2 + len) break;
-      if (const auto cmd = proto::mirai::decode_attack(view.subspan(0, 2 + len))) {
-        out->emplace_back(msg.time, *cmd);
+      const auto frame = view.subspan(0, 2 + len);
+      for (const auto* p : dialects.binary) {
+        if (auto cmd = profile::wire::decode_binary_attack(*p, frame)) {
+          out->emplace_back(msg.time, std::move(*cmd));
+          break;
+        }
       }
       view = view.subspan(2 + len);
     }
   }
+  if (dialects.text.empty()) return;
   const std::string text = util::to_string(msg.payload);
   for (const auto& line : util::split(text, '\n')) {
     if (line.empty()) continue;
-    if (want(proto::Family::kGafgyt)) {
-      if (const auto cmd = proto::gafgyt::decode_attack(line)) {
-        out->emplace_back(msg.time, *cmd);
-        continue;
-      }
-    }
-    if (want(proto::Family::kDaddyl33t)) {
-      if (const auto cmd = proto::daddyl33t::decode_attack(line)) {
-        out->emplace_back(msg.time, *cmd);
+    for (const auto* p : dialects.text) {
+      if (auto cmd = profile::wire::decode_text_attack(*p, line)) {
+        out->emplace_back(msg.time, std::move(*cmd));
+        break;
       }
     }
   }
@@ -103,7 +121,8 @@ void decode_profiles(const C2Message& msg, std::optional<proto::Family> hint,
 std::vector<DdosDetection> detect_ddos(const emu::SandboxReport& report,
                                        net::Endpoint c2,
                                        std::optional<proto::Family> family_hint,
-                                       const DdosDetectOptions& opts) {
+                                       const DdosDetectOptions& opts,
+                                       const profile::Registry& profiles) {
   // --- pass 1: split the capture into C2 messages and outbound traffic ----
   std::vector<C2Message> c2_messages;
   std::map<net::Ipv4, TargetTraffic> targets;
@@ -140,8 +159,9 @@ std::vector<DdosDetection> detect_ddos(const emu::SandboxReport& report,
   }
 
   // --- method (a): protocol profiles ---------------------------------------
+  const Dialects dialects = dialects_for(profiles, family_hint);
   std::vector<std::pair<util::SimTime, proto::AttackCommand>> decoded;
-  for (const auto& msg : c2_messages) decode_profiles(msg, family_hint, &decoded);
+  for (const auto& msg : c2_messages) decode_profiles(msg, dialects, &decoded);
 
   std::vector<DdosDetection> out;
   std::set<net::Ipv4> explained;

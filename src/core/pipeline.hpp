@@ -102,11 +102,11 @@ struct DegradedSample {
 struct PipelineConfig {
   std::uint64_t seed = 22;
   botnet::WorldConfig world{};
-  /// Family profile registry shared by the world planner and every sandbox
-  /// run. Null means the builtin registry, which is bit-identical to the
+  /// Family profile registry shared by the world planner, every sandbox
+  /// run and the DDoS command decoder. Null means world.profiles, and the
+  /// builtin registry when that is null too, which is bit-identical to the
   /// pre-profile compiled-in behaviour. Held as a shared_ptr so parallel
-  /// shards reuse one loaded registry; overrides world.profiles /
-  /// SandboxConfig::profiles when set.
+  /// shards reuse one loaded registry.
   std::shared_ptr<const profile::Registry> profiles;
   /// Fault-injection profile (DESIGN.md §11). kNone runs the classic clean
   /// study, bit-identical to a build without the fault layer.
@@ -213,6 +213,8 @@ class Pipeline {
   void harvest_observability();
 
   PipelineConfig cfg_;
+  /// cfg_'s registry, resolved once (see PipelineConfig::profiles).
+  const profile::Registry* profiles_ = nullptr;
   obs::Observer obs_;
   obs::ProfileSnapshot profile_;
   // Cached registry instruments (see obs/metrics.hpp on why).

@@ -6,16 +6,21 @@
 
 namespace malnet::dns {
 
+std::optional<std::string> name_error(std::string_view name) {
+  if (name.empty() || name.size() > 253) return "dns: bad name length";
+  for (const auto& label : util::split(name, '.')) {
+    if (label.empty() || label.size() > 63) {
+      return "dns: bad label in " + std::string(name);
+    }
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 void encode_name(util::ByteWriter& w, const std::string& name) {
-  if (name.empty() || name.size() > 253) {
-    throw std::invalid_argument("dns: bad name length");
-  }
+  if (auto err = name_error(name)) throw std::invalid_argument(*err);
   for (const auto& label : util::split(name, '.')) {
-    if (label.empty() || label.size() > 63) {
-      throw std::invalid_argument("dns: bad label in " + name);
-    }
     w.u8(static_cast<std::uint8_t>(label.size()));
     w.raw(label);
   }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/ipv4.hpp"
@@ -41,8 +42,14 @@ struct Message {
   std::vector<Answer> answers;
 };
 
-/// Validates and encodes to wire bytes. Throws std::invalid_argument on
-/// names that are empty, too long, or have oversized labels.
+/// The name rule encode() enforces: nullopt if `name` can be written (1-253
+/// characters of '.'-separated labels, each 1-63 characters), else the
+/// reason encode() throws. decode() accepts names that fail it — a label
+/// byte may be '.' — so a server must check a decoded name before echoing it.
+[[nodiscard]] std::optional<std::string> name_error(std::string_view name);
+
+/// Validates and encodes to wire bytes. Throws std::invalid_argument on a
+/// name that name_error() rejects.
 [[nodiscard]] util::Bytes encode(const Message& m);
 
 /// Parses wire bytes. Returns nullopt on malformed input. Name compression

@@ -22,19 +22,19 @@ void DnsServer::handle_query(const net::Packet& p) {
   const auto query = decode(p.payload);
   if (!query || query->is_response || query->questions.empty()) return;
   ++queries_;
-  if (fault_hook_) {
-    switch (fault_hook_()) {
-      case QueryFault::kDrop:
-        return;  // the client sees a timeout
-      case QueryFault::kServfail: {
-        Message fail = make_response(*query, std::nullopt);
-        fail.rcode = Rcode::kServFail;
-        udp_send({p.src, p.src_port}, encode(fail), /*src_port=*/53);
-        return;
-      }
-      case QueryFault::kNone:
-        break;
-    }
+  const QueryFault fault = fault_hook_ ? fault_hook_() : QueryFault::kNone;
+  if (fault == QueryFault::kDrop) return;  // the client sees a timeout
+  // Both replies below echo the questions. A corrupted query can decode to
+  // a name encode() cannot write back; it gets no reply. The check comes
+  // after the fault hook, which draws from a stateful stream per query.
+  for (const auto& q : query->questions) {
+    if (name_error(q.name)) return;
+  }
+  if (fault == QueryFault::kServfail) {
+    Message fail = make_response(*query, std::nullopt);
+    fail.rcode = Rcode::kServFail;
+    udp_send({p.src, p.src_port}, encode(fail), /*src_port=*/53);
+    return;
   }
   std::optional<net::Ipv4> answer;
   const auto it = zone_.find(util::to_lower(query->questions.front().name));

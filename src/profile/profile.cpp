@@ -381,31 +381,31 @@ std::uint64_t FamilyProfile::content_hash() const {
 }
 
 FamilyProfile builtin_profile(proto::Family f) {
+  using proto::AttackType;
   FamilyProfile p;
   p.id = f;
   p.name = proto::to_string(f);
   p.marker = mal::family_marker(f);
 
-  auto keyword_commands = [&](auto keyword_of) {
-    for (const proto::AttackType t : proto::attacks_of(f)) {
-      Command c;
-      c.type = t;
-      c.keyword = *keyword_of(t);
-      p.commands.push_back(std::move(c));
-    }
-  };
+  // Command tables in planner draw order (Figure 11: Mirai is the broadest,
+  // Daddyl33t second and the most diverse, Gafgyt narrower). Mirai's 0/1/3/5
+  // are the original vector ids; 11 is the variant TLS vector observed in
+  // the study's Mirai samples. Tsunami's PRIVMSG bodies reuse the Gafgyt
+  // command grammar.
+  const std::vector<Command> gafgyt_commands = {{AttackType::kUdpFlood, 0, "UDP"},
+                                                {AttackType::kStd, 0, "STD"},
+                                                {AttackType::kVse, 0, "VSE"}};
 
   switch (f) {
     case proto::Family::kMirai:
       p.framing = Framing::kBinary;
       p.topology = Topology::kFallback;
       p.handshake_magic = 1;
-      for (const proto::AttackType t : proto::attacks_of(f)) {
-        Command c;
-        c.type = t;
-        c.vector = *proto::mirai_vector_of(t);
-        p.commands.push_back(c);
-      }
+      p.commands = {{AttackType::kUdpFlood, 0, {}},
+                    {AttackType::kSynFlood, 3, {}},
+                    {AttackType::kTls, 11, {}},
+                    {AttackType::kStomp, 5, {}},
+                    {AttackType::kVse, 1, {}}};
       p.attacker_quota = 8;
       break;
     case proto::Family::kGafgyt:
@@ -417,24 +417,15 @@ FamilyProfile builtin_profile(proto::Family f) {
       p.ping_word = "PING";
       p.pong_word = "PONG";
       p.attack_prefix = "!*";
-      keyword_commands([](proto::AttackType t) {
-        return proto::gafgyt_keyword_of(t);
-      });
+      p.commands = gafgyt_commands;
       p.attacker_quota = 3;
       break;
     case proto::Family::kTsunami:
-      // IRC transport; the PRIVMSG body reuses the Gafgyt command grammar
-      // (the compiled-in C2 encodes Tsunami commands with the Gafgyt codec).
       p.framing = Framing::kIrc;
       p.topology = Topology::kFallback;
       p.irc_channel = "#tsunami";
       p.attack_prefix = "!*";
-      for (const proto::AttackType t : proto::attacks_of(proto::Family::kGafgyt)) {
-        Command c;
-        c.type = t;
-        c.keyword = *proto::gafgyt_keyword_of(t);
-        p.commands.push_back(std::move(c));
-      }
+      p.commands = gafgyt_commands;
       break;
     case proto::Family::kDaddyl33t:
       p.framing = Framing::kText;
@@ -445,9 +436,11 @@ FamilyProfile builtin_profile(proto::Family f) {
       p.ping_word = ".ping";
       p.pong_word = ".pong";
       p.attack_prefix = "";
-      keyword_commands([](proto::AttackType t) {
-        return proto::daddyl33t_keyword_of(t);
-      });
+      p.commands = {{AttackType::kUdpFlood, 0, "UDPRAW"},
+                    {AttackType::kSynFlood, 0, "HYDRASYN"},
+                    {AttackType::kTls, 0, "TLS"},
+                    {AttackType::kBlacknurse, 0, "NURSE"},
+                    {AttackType::kNfo, 0, "NFOV6"}};
       p.attacker_quota = 6;
       break;
     case proto::Family::kMozi:

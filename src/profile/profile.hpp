@@ -9,10 +9,10 @@
 // botnet::World consume instead of switching on proto::Family. The enum
 // survives as an ID; the behaviour is the profile.
 //
-// builtin_profile(f) expresses the compiled-in behaviour of each family as
-// a profile, built from the proto tables themselves — so the committed
-// profiles/*.json are provably byte-identical to the pre-profile code path
-// (the golden study comparison in tests/test_profile.cpp).
+// builtin_profile(f) is the single source of each family's compiled-in
+// behaviour, command tables included; the committed profiles/*.json are
+// its canonical dumps (the golden study comparison in
+// tests/test_profile.cpp proves loading them changes no output byte).
 #pragma once
 
 #include <cstdint>
@@ -130,9 +130,9 @@ struct FamilyProfile {
   [[nodiscard]] std::uint64_t content_hash() const;
 };
 
-/// The compiled-in behaviour of `f` expressed as a profile, built from the
-/// proto command tables and mal::family_marker — the single source of
-/// truth the committed profiles/*.json are generated from.
+/// The compiled-in behaviour of `f` as a profile: its C2 dialect and
+/// command tables plus mal::family_marker — the single source of truth the
+/// committed profiles/*.json are generated from.
 [[nodiscard]] FamilyProfile builtin_profile(proto::Family f);
 
 }  // namespace malnet::profile

@@ -1,9 +1,9 @@
-// Profile-parameterised C2 wire codecs: the binary and text message
-// grammars from proto/mirai|gafgyt|daddyl33t generalised over a
-// FamilyProfile. For every builtin profile these produce and accept bytes
-// identical to the compiled-in proto::* codecs (asserted exhaustively in
-// tests/test_profile.cpp) — that identity is what makes the data-driven
-// path a drop-in replacement.
+// Profile-parameterised C2 wire codecs: the only implementation of each
+// family's C2 dialect. Two message grammars — Mirai-lineage binary frames
+// and Gafgyt/Daddyl33t-lineage text lines — are generalised over a
+// FamilyProfile; bots, C2 servers and the analyst's DDoS decoder
+// (core::detect_ddos) all speak through them. Known-answer frames pinned in
+// tests/test_profile.cpp keep the builtin dialects' bytes fixed.
 #pragma once
 
 #include <optional>
@@ -17,6 +17,14 @@
 namespace malnet::profile::wire {
 
 // --- binary framing (Mirai grammar, magic parameterised) -------------------
+//
+// Bot -> C2 on connect:   u32 magic, u8 id_len, id bytes
+// Keepalive (both ways):  u16 0x0000
+// C2 -> Bot attack:       u16 len, then len bytes of:
+//                           u32 duration_s, u8 vector, u8 n_targets,
+//                           n x (u32 ipv4, u8 prefix),
+//                           u8 n_opts, n x (u8 key, u8 val_len, bytes)
+// Option key 7 is the destination port ("dport" in the Mirai source).
 
 [[nodiscard]] util::Bytes encode_handshake(const FamilyProfile& p,
                                            const std::string& bot_id);
@@ -37,6 +45,11 @@ struct Handshake {
     const FamilyProfile& p, util::BytesView wire);
 
 // --- text framing (Gafgyt/Daddyl33t grammar, words parameterised) ----------
+//
+// Bot -> C2 on connect:   "HELLO-WORDS <arg>\n"     ("BUILD MIPS", "l33t LOGIN id")
+// Keepalive:              "<ping>\n" -> "<pong>\n"  ("PING"/"PONG", ".ping"/".pong")
+// C2 -> Bot attack:       "[PREFIX ]KEYWORD ip port secs\n"; ICMP-borne
+//                         attacks carry port 0.
 
 /// "HELLO-WORDS <arg>\n" — arg is the bot id or arch per hello_sends.
 [[nodiscard]] std::string encode_hello(const FamilyProfile& p,

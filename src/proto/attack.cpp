@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "util/str.hpp"
-
 namespace malnet::proto {
 
 std::string to_string(AttackType t) {
@@ -56,86 +54,6 @@ std::string AttackCommand::summary() const {
   os << proto::to_string(family) << ' ' << proto::to_string(type) << " -> "
      << net::to_string(target) << " for " << duration_s << "s";
   return os.str();
-}
-
-const std::vector<AttackType>& attacks_of(Family f) {
-  // Figure 11: Mirai is the broadest; Daddyl33t is second and the most
-  // diverse; Gafgyt has fewer. Other families issue no DDoS in the study.
-  static const std::vector<AttackType> kMirai{
-      AttackType::kUdpFlood, AttackType::kSynFlood, AttackType::kTls,
-      AttackType::kStomp, AttackType::kVse};
-  static const std::vector<AttackType> kGafgyt{
-      AttackType::kUdpFlood, AttackType::kStd, AttackType::kVse};
-  static const std::vector<AttackType> kDaddyl33t{
-      AttackType::kUdpFlood, AttackType::kSynFlood, AttackType::kTls,
-      AttackType::kBlacknurse, AttackType::kNfo};
-  static const std::vector<AttackType> kNone{};
-  switch (f) {
-    case Family::kMirai: return kMirai;
-    case Family::kGafgyt: return kGafgyt;
-    case Family::kDaddyl33t: return kDaddyl33t;
-    default: return kNone;
-  }
-}
-
-std::optional<std::uint8_t> mirai_vector_of(AttackType t) {
-  // 0/1/3/5 are the original Mirai vector ids; 11 is the variant TLS vector
-  // observed in the study's Mirai samples.
-  switch (t) {
-    case AttackType::kUdpFlood: return 0;
-    case AttackType::kVse: return 1;
-    case AttackType::kSynFlood: return 3;
-    case AttackType::kStomp: return 5;
-    case AttackType::kTls: return 11;
-    default: return std::nullopt;
-  }
-}
-
-std::optional<AttackType> mirai_vector_to_type(std::uint8_t vec) {
-  switch (vec) {
-    case 0: return AttackType::kUdpFlood;
-    case 1: return AttackType::kVse;
-    case 3: return AttackType::kSynFlood;
-    case 5: return AttackType::kStomp;
-    case 11: return AttackType::kTls;
-    default: return std::nullopt;
-  }
-}
-
-std::optional<std::string> gafgyt_keyword_of(AttackType t) {
-  switch (t) {
-    case AttackType::kUdpFlood: return "UDP";
-    case AttackType::kStd: return "STD";
-    case AttackType::kVse: return "VSE";
-    default: return std::nullopt;
-  }
-}
-
-std::optional<AttackType> gafgyt_keyword_to_type(std::string_view kw) {
-  if (util::iequals(kw, "UDP")) return AttackType::kUdpFlood;
-  if (util::iequals(kw, "STD")) return AttackType::kStd;
-  if (util::iequals(kw, "VSE")) return AttackType::kVse;
-  return std::nullopt;
-}
-
-std::optional<std::string> daddyl33t_keyword_of(AttackType t) {
-  switch (t) {
-    case AttackType::kUdpFlood: return "UDPRAW";
-    case AttackType::kSynFlood: return "HYDRASYN";
-    case AttackType::kTls: return "TLS";
-    case AttackType::kBlacknurse: return "NURSE";
-    case AttackType::kNfo: return "NFOV6";
-    default: return std::nullopt;
-  }
-}
-
-std::optional<AttackType> daddyl33t_keyword_to_type(std::string_view kw) {
-  if (util::iequals(kw, "UDPRAW")) return AttackType::kUdpFlood;
-  if (util::iequals(kw, "HYDRASYN")) return AttackType::kSynFlood;
-  if (util::iequals(kw, "TLS")) return AttackType::kTls;
-  if (util::iequals(kw, "NURSE")) return AttackType::kBlacknurse;
-  if (util::iequals(kw, "NFOV6")) return AttackType::kNfo;
-  return std::nullopt;
 }
 
 }  // namespace malnet::proto

@@ -1,12 +1,11 @@
 // The unified DDoS attack command model: the 8 attack types observed in the
-// study (§5.1), the protocol each one rides on (Figure 10), and which
-// families launch which types (Figure 11).
+// study (§5.1) and the protocol each one rides on (Figure 10). Which
+// families launch which types (Figure 11), and how each family spells them
+// on the wire, is profile data (profile::builtin_profile).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "net/ipv4.hpp"
 #include "net/packet.hpp"
@@ -51,18 +50,5 @@ struct AttackCommand {
 
   [[nodiscard]] std::string summary() const;
 };
-
-/// Which attack types a family implements (Figure 11 distribution support).
-[[nodiscard]] const std::vector<AttackType>& attacks_of(Family f);
-
-/// The per-family command keyword for text protocols ("UDP", "UDPRAW", …)
-/// or the Mirai binary vector id. Used by encoders and by the DDoS command
-/// profiler in core/.
-[[nodiscard]] std::optional<std::uint8_t> mirai_vector_of(AttackType t);
-[[nodiscard]] std::optional<AttackType> mirai_vector_to_type(std::uint8_t vec);
-[[nodiscard]] std::optional<std::string> gafgyt_keyword_of(AttackType t);
-[[nodiscard]] std::optional<AttackType> gafgyt_keyword_to_type(std::string_view kw);
-[[nodiscard]] std::optional<std::string> daddyl33t_keyword_of(AttackType t);
-[[nodiscard]] std::optional<AttackType> daddyl33t_keyword_to_type(std::string_view kw);
 
 }  // namespace malnet::proto

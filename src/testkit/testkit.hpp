@@ -6,10 +6,12 @@
 //   check.hpp   check(gen, prop) runner + failure reporting
 //   mutate.hpp  structure-aware wire-format mutator
 //   corpus.hpp  committed seed-corpus access (tests/corpus/)
+//   scratch.hpp per-test private scratch directories
 #pragma once
 
 #include "testkit/check.hpp"    // IWYU pragma: export
 #include "testkit/corpus.hpp"   // IWYU pragma: export
 #include "testkit/gen.hpp"      // IWYU pragma: export
 #include "testkit/mutate.hpp"   // IWYU pragma: export
+#include "testkit/scratch.hpp"  // IWYU pragma: export
 #include "testkit/shrink.hpp"   // IWYU pragma: export

@@ -2,6 +2,8 @@
 // recovery, liveness probing.
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "botnet/c2server.hpp"
 #include "core/c2detect.hpp"
 #include "core/ddos.hpp"
@@ -13,12 +15,12 @@
 #include "emu/sandbox.hpp"
 #include "inetsim/services.hpp"
 #include "mal/binary.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
-#include "proto/mirai.hpp"
+#include "profile/wire.hpp"
+#include "testkit/scratch.hpp"
 
 using namespace malnet;
 using namespace malnet::core;
+namespace wire = malnet::profile::wire;
 
 namespace {
 constexpr net::Ipv4 kMartian{10, 99, 7, 7};
@@ -177,7 +179,8 @@ TEST(DdosDetect, ProfileMethodDecodesMiraiCommand) {
   cmd.type = proto::AttackType::kUdpFlood;
   cmd.target = {net::Ipv4{7, 7, 7, 7}, 8080};
   cmd.duration_s = 30;
-  const auto report = make_live_report(proto::mirai::encode_attack(cmd),
+  const auto mirai = profile::builtin_profile(proto::Family::kMirai);
+  const auto report = make_live_report(wire::encode_binary_attack(mirai, cmd),
                                        cmd.target.ip, 8080, 400, net::Protocol::kUdp);
   const auto dets = detect_ddos(report, kC2, proto::Family::kMirai);
   ASSERT_EQ(dets.size(), 1u);
@@ -185,13 +188,20 @@ TEST(DdosDetect, ProfileMethodDecodesMiraiCommand) {
   EXPECT_TRUE(dets[0].verified);
   EXPECT_EQ(dets[0].command.target, cmd.target);
   EXPECT_GE(dets[0].observed_pps, 100.0);
+  // mirai-fallback shares Mirai's vector ids; the frame goes to the first
+  // dialect that decodes it, so loading the variant adds no detection.
+  profile::Registry reg;
+  ASSERT_FALSE(reg.load_file(MALNET_PROFILES_DIR "/mirai-fallback.json").has_value());
+  EXPECT_EQ(detect_ddos(report, kC2, proto::Family::kMirai, {}, reg).size(), 1u);
+  EXPECT_EQ(detect_ddos(report, kC2, std::nullopt, {}, reg).size(), 1u);
 }
 
 TEST(DdosDetect, ProfileMethodUnverifiedWithoutFlood) {
   proto::AttackCommand cmd;
   cmd.type = proto::AttackType::kUdpFlood;
   cmd.target = {net::Ipv4{7, 7, 7, 7}, 8080};
-  const auto report = make_live_report(proto::mirai::encode_attack(cmd),
+  const auto mirai = profile::builtin_profile(proto::Family::kMirai);
+  const auto report = make_live_report(wire::encode_binary_attack(mirai, cmd),
                                        net::Ipv4{9, 9, 9, 9}, 8080, 5,
                                        net::Protocol::kUdp);
   const auto dets = detect_ddos(report, kC2, proto::Family::kMirai);
@@ -204,7 +214,8 @@ TEST(DdosDetect, ProfileMethodDecodesTextFamilies) {
   cmd.type = proto::AttackType::kStd;
   cmd.target = {net::Ipv4{7, 7, 7, 7}, 9999};
   cmd.duration_s = 60;
-  auto report = make_live_report(util::to_bytes(proto::gafgyt::encode_attack(cmd)),
+  const auto gafgyt = profile::builtin_profile(proto::Family::kGafgyt);
+  auto report = make_live_report(util::to_bytes(wire::encode_text_attack(gafgyt, cmd)),
                                  cmd.target.ip, 9999, 300, net::Protocol::kUdp,
                                  util::to_bytes("RANDOMSTRINGRANDOMSTRINGRANDOMST"));
   auto dets = detect_ddos(report, kC2, proto::Family::kGafgyt);
@@ -214,7 +225,8 @@ TEST(DdosDetect, ProfileMethodDecodesTextFamilies) {
 
   cmd.type = proto::AttackType::kBlacknurse;
   cmd.target.port = 0;
-  report = make_live_report(util::to_bytes(proto::daddyl33t::encode_attack(cmd)),
+  const auto daddy = profile::builtin_profile(proto::Family::kDaddyl33t);
+  report = make_live_report(util::to_bytes(wire::encode_text_attack(daddy, cmd)),
                             cmd.target.ip, 0, 300, net::Protocol::kIcmp);
   dets = detect_ddos(report, kC2, proto::Family::kDaddyl33t);
   ASSERT_EQ(dets.size(), 1u);
@@ -233,6 +245,34 @@ TEST(DdosDetect, HeuristicCatchesUnknownVariantAndVerifiesTargetInCommand) {
   EXPECT_EQ(dets[0].method, DdosMethod::kBehaviouralHeuristic);
   EXPECT_TRUE(dets[0].verified);  // "7.7.7.7" appears in the command text
   EXPECT_EQ(dets[0].command.type, proto::AttackType::kUdpFlood);
+}
+
+TEST(DdosDetect, ProfileMethodDecodesALoadedVariantDialect) {
+  // The capture above, analysed with a registry that also holds a text
+  // dialect spelling UDP Flood as "SMASH": method (a) now decodes it.
+  auto smash = profile::builtin_profile(proto::Family::kDaddyl33t);
+  smash.name = "daddyl33t-smash";
+  smash.commands = {{proto::AttackType::kUdpFlood, 0, "SMASH"}};
+  const testkit::ScratchDir dir("ddos_smash");
+  std::ofstream(dir.file("smash.json")) << smash.to_pretty_json();
+  profile::Registry reg;
+  ASSERT_FALSE(reg.load_file(dir.file("smash.json")).has_value());
+
+  const auto report = make_live_report(util::to_bytes("SMASH 7.7.7.7 8080 60\n"),
+                                       net::Ipv4{7, 7, 7, 7}, 8080, 400,
+                                       net::Protocol::kUdp);
+  const auto dets = detect_ddos(report, kC2, std::nullopt, {}, reg);
+  ASSERT_EQ(dets.size(), 1u);
+  EXPECT_EQ(dets[0].method, DdosMethod::kProtocolProfile);
+  EXPECT_TRUE(dets[0].verified);
+  EXPECT_EQ(dets[0].command.type, proto::AttackType::kUdpFlood);
+  EXPECT_EQ(dets[0].command.family, proto::Family::kDaddyl33t);
+  EXPECT_EQ(dets[0].command.target, (net::Endpoint{{7, 7, 7, 7}, 8080}));
+  // The variant's family hint keeps it; another family's hint drops it.
+  EXPECT_EQ(detect_ddos(report, kC2, proto::Family::kDaddyl33t, {}, reg).at(0).method,
+            DdosMethod::kProtocolProfile);
+  EXPECT_EQ(detect_ddos(report, kC2, proto::Family::kGafgyt, {}, reg).at(0).method,
+            DdosMethod::kBehaviouralHeuristic);
 }
 
 TEST(DdosDetect, HeuristicVerifiesBinaryIpRepresentation) {

@@ -114,6 +114,35 @@ TEST(DnsServer, RecordRemoval) {
   EXPECT_FALSE(got);
 }
 
+TEST(DnsServer, DropsQueriesWhoseNameCannotBeEchoed) {
+  // A bit-flipped query: the 'o' of "echo" became '.', so the decoded name
+  // holds an empty label that encode() cannot write back into a reply.
+  DnsWorld w;
+  w.server.set_wildcard(net::Ipv4{10, 99, 7, 7});
+  auto wire = encode(make_query(7, "api.ip-echo.net"));
+  wire[23] = '.';  // 12-byte header, 3 "api", 7 "ip-ech" then 'o'
+  const auto decoded = decode(wire);
+  ASSERT_TRUE(decoded);
+  ASSERT_EQ(decoded->questions[0].name, "api.ip-ech..net");
+
+  int replies = 0;
+  w.client.udp_bind(5353, [&](const net::Packet&) { ++replies; });
+  for (const auto fault : {QueryFault::kNone, QueryFault::kServfail}) {
+    w.server.set_query_fault_hook([fault] { return fault; });
+    w.client.udp_send({w.server.addr(), 53}, wire, 5353);
+    EXPECT_NO_THROW(w.sched.run());
+  }
+  EXPECT_EQ(w.server.queries_served(), 2u);
+  EXPECT_EQ(replies, 0);
+
+  // A well-formed query is still answered.
+  w.server.set_query_fault_hook(nullptr);
+  w.client.udp_send({w.server.addr(), 53}, encode(make_query(8, "api.ip-echo.net")),
+                    5353);
+  w.sched.run();
+  EXPECT_EQ(replies, 1);
+}
+
 TEST(Resolver, TimesOutAgainstDeadServer) {
   sim::EventScheduler sched;
   sim::Network net{sched};

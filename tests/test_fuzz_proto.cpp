@@ -1,7 +1,9 @@
-// Property-based tests for every C2 protocol codec in src/proto:
+// Property-based tests for every C2 wire codec: the profile::wire dialects
+// (parametrised over every binary/text profile, see dialects.hpp) and the
+// IRC and P2P framings in src/proto.
 //
 //   round-trip laws   decode(encode(x)) == x for randomly generated
-//                     commands/messages of each family
+//                     commands/messages of each dialect
 //   no-crash laws     decoders fed random buffers and structure-aware
 //                     mutations of the committed corpus must return a clean
 //                     error (nullopt/false), never throw or OOB-read (the
@@ -11,18 +13,17 @@
 // Failures print a seed; rerun with MALNET_CHECK_SEED=<seed> to reproduce.
 #include <gtest/gtest.h>
 
+#include "dialects.hpp"
 #include "proto/attack.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/family.hpp"
-#include "proto/gafgyt.hpp"
 #include "proto/irc.hpp"
-#include "proto/mirai.hpp"
 #include "proto/p2p.hpp"
 #include "testkit/testkit.hpp"
+#include "util/str.hpp"
 
 using namespace malnet;
 using namespace malnet::proto;
 using namespace malnet::testkit;
+namespace wire = malnet::profile::wire;
 
 namespace {
 
@@ -37,22 +38,22 @@ Gen<net::Ipv4> ipv4s() {
       any_byte(), any_byte(), any_byte(), any_byte());
 }
 
-/// A valid AttackCommand for `family`, drawing only from its repertoire.
-/// ICMP-borne attacks carry port 0 like the real commands do.
-Gen<AttackCommand> attack_commands(Family family) {
+/// A valid AttackCommand for dialect `p`, drawing only from its repertoire.
+/// ICMP-borne attacks carry port 0 like the real commands do, and one
+/// command in eight of any type is port-less.
+Gen<AttackCommand> attack_commands(const profile::FamilyProfile& p) {
   return apply(
-      [family](AttackType type, net::Ipv4 ip, net::Port port,
-               std::uint32_t duration) {
+      [family = p.id](AttackType type, net::Ipv4 ip, net::Port port, int portless,
+                      std::uint32_t duration) {
         AttackCommand cmd;
         cmd.family = family;
         cmd.type = type;
-        cmd.target = {ip, attack_protocol(type, port) == AttackProtocol::kIcmp
-                              ? net::Port{0}
-                              : port};
+        const bool icmp = attack_protocol(type, port) == AttackProtocol::kIcmp;
+        cmd.target = {ip, icmp || portless == 0 ? net::Port{0} : port};
         cmd.duration_s = duration;
         return cmd;
       },
-      one_of(attacks_of(family)), ipv4s(), ints<net::Port>(1, 0xFFFF),
+      one_of(p.command_types()), ipv4s(), ints<net::Port>(1, 0xFFFF), ints<int>(0, 7),
       ints<std::uint32_t>(1, 86'400));
 }
 
@@ -72,19 +73,15 @@ CheckResult fuzz_decoder(const std::string& corpus_prefix, Prop prop,
   cfg.cases = kNoCrashCases;
   cfg.name = std::move(name);
   // 7 parts mutated corpus (structure-aware), 1 part pure noise.
-  const auto inputs =
-      apply(
-          [&corpus](std::uint64_t pick, int which, util::Bytes noise) {
-            return which == 0 ? noise : corpus[pick % corpus.size()];
-          },
-          ints<std::uint64_t>(0, 1'000'000), ints<int>(0, 7),
-          byte_strings(0, 256))
-          .map([&mutator](util::Bytes base) {
-            // Deterministic sub-seed: mutations must not depend on ambient
-            // state, only on the buffer produced for this case.
-            util::Rng mrng(util::fnv1a64(util::to_hex(base)), 17);
-            return mutator.mutate(base, mrng);
-          });
+  const auto inputs = apply(
+      [&corpus, &mutator](std::uint64_t pick, int which, util::Bytes noise) {
+        util::Bytes base = which == 0 ? std::move(noise) : corpus[pick % corpus.size()];
+        // Deterministic sub-seed drawn from this case alone (never ambient
+        // state); `pick` varies it, so one corpus entry yields many mutants.
+        util::Rng mrng(pick ^ util::fnv1a64(util::to_hex(base)), 17);
+        return mutator.mutate(base, mrng);
+      },
+      ints<std::uint64_t>(0, 1'000'000), ints<int>(0, 7), byte_strings(0, 256));
   return check(inputs, prop, cfg);
 }
 
@@ -92,56 +89,80 @@ CheckResult fuzz_decoder(const std::string& corpus_prefix, Prop prop,
 
 // --- round-trip laws ---------------------------------------------------------
 
-TEST(RoundTrip, MiraiAttack) {
+namespace {
+
+CheckResult attack_round_trip(const profile::FamilyProfile& p) {
   CheckConfig cfg;
   cfg.cases = kRoundTripCases;
-  cfg.name = "mirai round-trip";
-  const auto r = check(attack_commands(Family::kMirai),
-                       [](const AttackCommand& cmd) {
-                         const auto decoded = mirai::decode_attack(mirai::encode_attack(cmd));
-                         return decoded && same_command(*decoded, cmd);
-                       },
-                       cfg);
+  cfg.name = p.name + " attack round-trip";
+  return check(attack_commands(p),
+               [&p](const AttackCommand& cmd) {
+                 const auto wire = dialects::encode_attack(p, cmd);
+                 const auto decoded = dialects::decode_attack(p, wire);
+                 return decoded && same_command(*decoded, cmd) && decoded->raw == wire;
+               },
+               cfg);
+}
+
+CheckResult hello_round_trip(const profile::FamilyProfile& p) {
+  CheckConfig cfg;
+  cfg.cases = kRoundTripCases;
+  cfg.name = p.name + " hello round-trip";
+  // A binary handshake carries any id up to 255 bytes; a text hello one
+  // whitespace-free token.
+  const auto ids = dialects::is_binary(p) ? raw_strings(0, 255) : ascii_strings(1, 32);
+  return check(ids,
+               [&p](const std::string& id) {
+                 return dialects::decode_hello(p, dialects::encode_hello(p, id)) == id;
+               },
+               cfg);
+}
+
+/// A family's dialect as the builtin registry, which every study uses unless
+/// it loads profiles, resolves it.
+const profile::FamilyProfile& builtin(Family f) {
+  return *profile::Registry::builtin().active(f);
+}
+
+}  // namespace
+
+/// The laws every C2 dialect obeys, one test each, parametrised over the
+/// dialects.
+class DialectLaw : public ::testing::TestWithParam<std::string> {
+ protected:
+  const profile::FamilyProfile& p() const { return dialects::get(GetParam()); }
+};
+
+INSTANTIATE_TEST_SUITE_P(Dialects, DialectLaw, ::testing::ValuesIn(dialects::names()),
+                         dialects::test_name);
+
+TEST_P(DialectLaw, AttackRoundTrip) {
+  const auto r = attack_round_trip(p());
+  EXPECT_TRUE(r.ok) << r.summary();
+}
+
+TEST_P(DialectLaw, HelloRoundTrip) {
+  const auto r = hello_round_trip(p());
+  EXPECT_TRUE(r.ok) << r.summary();
+}
+
+TEST(RoundTrip, MiraiAttack) {
+  const auto r = attack_round_trip(builtin(Family::kMirai));
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
 TEST(RoundTrip, MiraiHandshake) {
-  CheckConfig cfg;
-  cfg.cases = kRoundTripCases;
-  cfg.name = "mirai handshake round-trip";
-  const auto r = check(raw_strings(0, 255),
-                       [](const std::string& id) {
-                         const auto hs = mirai::decode_handshake(mirai::encode_handshake(id));
-                         return hs && hs->bot_id == id;
-                       },
-                       cfg);
+  const auto r = hello_round_trip(builtin(Family::kMirai));
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
 TEST(RoundTrip, GafgytAttack) {
-  CheckConfig cfg;
-  cfg.cases = kRoundTripCases;
-  cfg.name = "gafgyt round-trip";
-  const auto r = check(attack_commands(Family::kGafgyt),
-                       [](const AttackCommand& cmd) {
-                         const auto decoded = gafgyt::decode_attack(gafgyt::encode_attack(cmd));
-                         return decoded && same_command(*decoded, cmd);
-                       },
-                       cfg);
+  const auto r = attack_round_trip(builtin(Family::kGafgyt));
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
 TEST(RoundTrip, Daddyl33tAttack) {
-  CheckConfig cfg;
-  cfg.cases = kRoundTripCases;
-  cfg.name = "daddyl33t round-trip";
-  const auto r = check(attack_commands(Family::kDaddyl33t),
-                       [](const AttackCommand& cmd) {
-                         const auto decoded =
-                             daddyl33t::decode_attack(daddyl33t::encode_attack(cmd));
-                         return decoded && same_command(*decoded, cmd);
-                       },
-                       cfg);
+  const auto r = attack_round_trip(builtin(Family::kDaddyl33t));
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
@@ -202,43 +223,15 @@ TEST(RoundTrip, P2pMessages) {
 // Decoders are total functions: any byte buffer produces either a value or a
 // clean nullopt/false — never an exception, OOB access, or hang.
 
-TEST(NoCrash, MiraiDecoders) {
-  const auto r = fuzz_decoder("mirai_",
-                              [](util::BytesView wire) {
-                                (void)mirai::decode_handshake(wire);
-                                (void)mirai::decode_attack(wire);
-                                (void)mirai::is_keepalive(wire);
+TEST_P(DialectLaw, DecodersNeverThrow) {
+  // Mutants of the dialect's family corpus ("mirai_" for mirai-fallback).
+  const auto corpus = util::to_lower(proto::to_string(p().id)) + "_";
+  const auto r = fuzz_decoder(corpus,
+                              [this](util::BytesView wire) {
+                                (void)dialects::any_decoder_accepts(p(), wire);
                                 return true;  // surviving is the property
                               },
-                              "mirai no-crash");
-  EXPECT_TRUE(r.ok) << r.summary();
-}
-
-TEST(NoCrash, GafgytDecoders) {
-  const auto r = fuzz_decoder("gafgyt_",
-                              [](util::BytesView wire) {
-                                const std::string line(wire.begin(), wire.end());
-                                (void)gafgyt::decode_hello(line);
-                                (void)gafgyt::decode_attack(line);
-                                (void)gafgyt::is_ping(line);
-                                (void)gafgyt::is_pong(line);
-                                return true;
-                              },
-                              "gafgyt no-crash");
-  EXPECT_TRUE(r.ok) << r.summary();
-}
-
-TEST(NoCrash, Daddyl33tDecoders) {
-  const auto r = fuzz_decoder("daddyl33t_",
-                              [](util::BytesView wire) {
-                                const std::string line(wire.begin(), wire.end());
-                                (void)daddyl33t::decode_login(line);
-                                (void)daddyl33t::decode_attack(line);
-                                (void)daddyl33t::is_ping(line);
-                                (void)daddyl33t::is_pong(line);
-                                return true;
-                              },
-                              "daddyl33t no-crash");
+                              p().name + " no-crash");
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
@@ -273,14 +266,10 @@ TEST(ErrorPath, EmptyAndOneByteBuffers) {
   const std::vector<util::Bytes> minima = {{}, {0x00}, {0xFF}};
   const auto r = check_each(minima,
                             [](util::BytesView wire) {
-                              const std::string line(wire.begin(), wire.end());
-                              return !mirai::decode_handshake(wire) &&
-                                     !mirai::decode_attack(wire) &&
-                                     !gafgyt::decode_attack(line) &&
-                                     !gafgyt::decode_hello(line) &&
-                                     !daddyl33t::decode_attack(line) &&
-                                     !daddyl33t::decode_login(line) &&
-                                     !p2p::decode_ping(wire) &&
+                              for (const auto* p : dialects::all()) {
+                                if (dialects::any_decoder_accepts(*p, wire)) return false;
+                              }
+                              return !p2p::decode_ping(wire) &&
                                      !p2p::decode_get_peers(wire) &&
                                      !p2p::decode_peers_reply(wire) &&
                                      !p2p::looks_like_dht(wire);
@@ -290,31 +279,48 @@ TEST(ErrorPath, EmptyAndOneByteBuffers) {
 }
 
 TEST(ErrorPath, MiraiMaxLengthFields) {
-  // Frame length prefix announces 0xFFFF bytes, body absent or short.
-  EXPECT_FALSE(mirai::decode_attack(util::from_hex("ffff")));
-  EXPECT_FALSE(mirai::decode_attack(util::from_hex("ffff 00000001 00 01")));
-  // Handshake id_len = 255 with a short id.
-  EXPECT_FALSE(mirai::decode_handshake(util::from_hex("00000001 ff 6161")));
-  // Option value length announces 255 bytes that are not there.
-  // (frame len=14: duration=1s, vector 0, 1 target, 1 option whose value
-  //  length byte says 0xFF with no value following)
-  EXPECT_FALSE(mirai::decode_attack(
-      util::from_hex("000e 00000001 00 01 01020304 20 01 07 ff")));
+  for (const auto* p : dialects::all()) {
+    if (!dialects::is_binary(*p)) continue;
+    SCOPED_TRACE(p->name);
+    // Frame length prefix announces 0xFFFF bytes, body absent or short.
+    EXPECT_FALSE(wire::decode_binary_attack(*p, util::from_hex("ffff")));
+    EXPECT_FALSE(wire::decode_binary_attack(*p, util::from_hex("ffff 00000001 00 01")));
+    // Handshake id_len = 255 with a short id.
+    auto hs = wire::encode_handshake(*p, "aa");
+    hs[4] = 0xFF;
+    EXPECT_FALSE(wire::decode_handshake(*p, hs));
+    // Option value length announces 255 bytes that are not there.
+    // (frame len=14: duration=1s, vector 0, 1 target, 1 option whose value
+    //  length byte says 0xFF with no value following)
+    EXPECT_FALSE(wire::decode_binary_attack(
+        *p, util::from_hex("000e 00000001 00 01 01020304 20 01 07 ff")));
+  }
 }
 
 TEST(ErrorPath, MiraiRegressionNTargetsOverflow) {
   // Found by the mutator: n_targets = 0xFF with a single-target body must
   // reject cleanly (the per-target skip walks off the end).
-  auto wire = corpus_file("mirai_attack.bin");
-  ASSERT_GE(wire.size(), 8u);
-  wire[7] = 0xFF;  // n_targets lives after len(2) + duration(4) + vector(1)
-  EXPECT_FALSE(mirai::decode_attack(wire));
+  for (const auto* p : dialects::all()) {
+    if (!dialects::is_binary(*p)) continue;
+    AttackCommand cmd;
+    cmd.type = p->commands.front().type;
+    cmd.target = {net::Ipv4{203, 0, 113, 9}, 443};
+    auto frame = wire::encode_binary_attack(*p, cmd);
+    frame[7] = 0xFF;  // n_targets lives after len(2) + duration(4) + vector(1)
+    EXPECT_FALSE(wire::decode_binary_attack(*p, frame)) << p->name;
+  }
 }
 
 TEST(ErrorPath, TextProtocolsHugeNumericFields) {
   // 2^64 overflow and >u16 ports must both reject, not wrap around.
-  EXPECT_FALSE(gafgyt::decode_attack("!* UDP 1.2.3.4 80 99999999999999999999\n"));
-  EXPECT_FALSE(gafgyt::decode_attack("!* UDP 1.2.3.4 65536 10\n"));
-  EXPECT_FALSE(daddyl33t::decode_attack("UDPRAW 1.2.3.4 80 18446744073709551616\n"));
-  EXPECT_FALSE(daddyl33t::decode_attack("UDPRAW 1.2.3.4 99999 10\n"));
+  for (const auto* p : dialects::all()) {
+    if (dialects::is_binary(*p)) continue;
+    const std::string head = (p->attack_prefix.empty() ? "" : p->attack_prefix + " ") +
+                             p->commands.front().keyword;
+    for (const char* tail :
+         {" 1.2.3.4 80 99999999999999999999\n", " 1.2.3.4 80 18446744073709551616\n",
+          " 1.2.3.4 65536 10\n", " 1.2.3.4 99999 10\n"}) {
+      EXPECT_FALSE(wire::decode_text_attack(*p, head + tail)) << head + tail;
+    }
+  }
 }

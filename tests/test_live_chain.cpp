@@ -127,8 +127,8 @@ TEST(LiveChain, IrcBorneAttackIsRecoveredByTheHeuristicOnly) {
 
   ASSERT_GE(report.commands.size(), 1u) << "bot must act on the PRIVMSG order";
 
-  // Without a family hint, all three profiles run — none decodes IRC, so
-  // detection must come from the behavioural method.
+  // Without a family hint every binary/text profile is tried; IRC framing
+  // is not, so detection must come from the behavioural method.
   const auto dets = core::detect_ddos(report, server.endpoint(), std::nullopt);
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_EQ(dets[0].method, core::DdosMethod::kBehaviouralHeuristic);

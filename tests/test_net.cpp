@@ -5,6 +5,7 @@
 #include "net/ipv4.hpp"
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
+#include "testkit/scratch.hpp"
 
 using namespace malnet;
 using namespace malnet::net;
@@ -179,7 +180,8 @@ TEST(Pcap, RoundTripPreservesPacketsAndTimes) {
 TEST(Pcap, FileSaveAndLoad) {
   PcapWriter w;
   w.add(make_tcp());
-  const std::string path = ::testing::TempDir() + "/malnet_test.pcap";
+  const testkit::ScratchDir dir("pcap");
+  const std::string path = dir.file("malnet_test.pcap");
   w.save(path);
   const auto packets = load_pcap(path);
   ASSERT_EQ(packets.size(), 1u);

@@ -2,41 +2,34 @@
 //
 // The load-bearing contract: for every builtin profile the data-driven
 // path (profile::wire codecs, registry-resolved behaviour) is byte-
-// identical to the compiled-in proto::* codecs and to the pre-profile
-// study output; malformed or ambiguous profile files are rejected with
-// line/field context and never crash the parser (fuzzed from the
-// committed profile_* corpus); and a data-only variant profile runs
-// end-to-end — planner to C2 server to sandboxed bot — without any C++
+// identical to the pre-profile compiled-in codecs (known-answer frames
+// captured from them) and to the pre-profile study output; malformed or
+// ambiguous profile files are rejected with line/field context and never
+// crash the parser (fuzzed from the committed profile_* corpus); and a
+// data-only variant profile runs end-to-end — planner to C2 server to
+// sandboxed bot to the analyst's DDoS decoder — without any C++
 // behaviour-table change.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <memory>
 
 #include "botnet/c2server.hpp"
 #include "botnet/world.hpp"
 #include "core/parallel_study.hpp"
+#include "dialects.hpp"
 #include "emu/sandbox.hpp"
 #include "mal/binary.hpp"
 #include "profile/parse.hpp"
 #include "profile/registry.hpp"
 #include "profile/wire.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
-#include "proto/mirai.hpp"
 #include "report/dataset_io.hpp"
 #include "testkit/testkit.hpp"
 
 using namespace malnet;
 using namespace malnet::profile;
-namespace fs = std::filesystem;
 
 namespace {
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 void write_text(const std::string& path, const std::string& text) {
   std::ofstream f(path);
@@ -44,15 +37,12 @@ void write_text(const std::string& path, const std::string& text) {
   f << text;
 }
 
-/// A temp directory holding the builtin profiles as canonical dumps —
-/// loading it must reproduce the compiled-in behaviour bit-for-bit.
-std::string builtin_dump_dir(const std::string& name) {
-  const auto dir = tmp_path(name);
-  fs::create_directories(dir);
+/// Writes the builtin profiles into `dir` as canonical dumps — loading them
+/// must reproduce the compiled-in behaviour bit-for-bit.
+void write_builtin_dump(const testkit::ScratchDir& dir) {
   for (const auto* p : Registry::builtin().all()) {
-    write_text(dir + "/" + p->name + ".json", p->to_pretty_json());
+    write_text(dir.file(p->name + ".json"), p->to_pretty_json());
   }
-  return dir;
 }
 
 FamilyProfile make_variant() {
@@ -95,14 +85,10 @@ TEST(Profile, BuiltinsValidateAndCoverEveryFamily) {
         << proto::to_string(f) << ": " << *p.validate();
     EXPECT_EQ(p.is_text_like(),
               p.framing == Framing::kText || p.framing == Framing::kIrc);
-    // The profile's command repertoire matches the compiled-in table the
-    // attack planner used before profiles existed.
-    if (!p.commands.empty()) {
-      const auto want =
-          proto::attacks_of(f == proto::Family::kTsunami ? proto::Family::kGafgyt : f);
-      EXPECT_EQ(p.command_types(), want) << proto::to_string(f);
-    }
   }
+  // Tsunami's PRIVMSG bodies speak the Gafgyt command grammar.
+  EXPECT_EQ(builtin_profile(proto::Family::kTsunami).commands,
+            builtin_profile(proto::Family::kGafgyt).commands);
 }
 
 TEST(Profile, CanonicalRoundTripPreservesProfileAndHash) {
@@ -121,76 +107,77 @@ TEST(Profile, CanonicalRoundTripPreservesProfileAndHash) {
 }
 
 // --- wire parity with the compiled-in proto codecs ---------------------------
+// Known answers: the bytes the pre-profile proto/ encoders produced for
+// every builtin (family, command) pair with make_cmd's target and duration,
+// plus the handshake/hello and keepalive/ping/pong.
+
+namespace {
+
+using T = proto::AttackType;
+
+/// `known` lists one builtin dialect's commands in its command table's
+/// order (the attack planner's draw order); each encodes to exactly the
+/// given bytes and decodes back to the command.
+void expect_known_commands(const FamilyProfile& p,
+                           const std::vector<std::pair<T, std::string>>& known) {
+  ASSERT_EQ(p.commands.size(), known.size());
+  for (std::size_t i = 0; i < known.size(); ++i) {
+    const auto& [type, text] = known[i];
+    const auto bytes = p.framing == Framing::kBinary ? util::from_hex(text)
+                                                     : util::to_bytes(text);
+    EXPECT_EQ(p.commands[i].type, type) << "planner draw order";
+    const auto cmd = make_cmd(p.id, type);
+    EXPECT_EQ(dialects::encode_attack(p, cmd), bytes) << proto::to_string(type);
+    const auto decoded = dialects::decode_attack(p, bytes);
+    EXPECT_TRUE(decoded && same_command(*decoded, cmd)) << proto::to_string(type);
+  }
+}
+
+}  // namespace
 
 TEST(ProfileWire, MiraiBinaryFramingMatchesProtoByteForByte) {
   const auto p = builtin_profile(proto::Family::kMirai);
-  EXPECT_EQ(wire::encode_handshake(p, "bot-7"),
-            proto::mirai::encode_handshake("bot-7"));
-  EXPECT_EQ(wire::encode_keepalive(), proto::mirai::encode_keepalive());
-  EXPECT_TRUE(wire::is_keepalive(proto::mirai::encode_keepalive()));
-
-  for (const auto type : proto::attacks_of(proto::Family::kMirai)) {
-    const auto cmd = make_cmd(proto::Family::kMirai, type);
-    const auto ours = wire::encode_binary_attack(p, cmd);
-    EXPECT_EQ(ours, proto::mirai::encode_attack(cmd)) << proto::to_string(type);
-    // Cross-decoding: each decoder accepts the other's bytes.
-    const auto d1 = wire::decode_binary_attack(p, proto::mirai::encode_attack(cmd));
-    const auto d2 = proto::mirai::decode_attack(ours);
-    ASSERT_TRUE(d1 && d2) << proto::to_string(type);
-    EXPECT_TRUE(same_command(*d1, cmd));
-    EXPECT_TRUE(same_command(*d2, cmd));
-  }
-
-  const auto hs = wire::decode_handshake(p, proto::mirai::encode_handshake("x"));
-  ASSERT_TRUE(hs.has_value());
-  EXPECT_EQ(hs->bot_id, "x");
+  EXPECT_EQ(wire::encode_handshake(p, "bot-7"), util::from_hex("0000000105626f742d37"));
+  EXPECT_EQ(dialects::decode_hello(p, util::from_hex("000000010178")), "x");
+  EXPECT_EQ(wire::encode_keepalive(), util::from_hex("0000"));
+  EXPECT_TRUE(wire::is_keepalive(util::from_hex("0000")));
+  expect_known_commands(p, {{T::kUdpFlood, "00100000001e0001c6336407200107020050"},
+                            {T::kSynFlood, "00100000001e0301c6336407200107020050"},
+                            {T::kTls, "00100000001e0b01c6336407200107020050"},
+                            {T::kStomp, "00100000001e0501c6336407200107020050"},
+                            {T::kVse, "00100000001e0101c6336407200107020050"}});
+  // A port-less target omits the dport option.
+  auto portless = make_cmd(proto::Family::kMirai, T::kUdpFlood);
+  portless.target.port = 0;
+  EXPECT_EQ(wire::encode_binary_attack(p, portless),
+            util::from_hex("000c0000001e0001c63364072000"));
 }
 
 TEST(ProfileWire, GafgytTextFramingMatchesProtoByteForByte) {
   const auto p = builtin_profile(proto::Family::kGafgyt);
-  EXPECT_EQ(wire::encode_hello(p, "MIPS"), proto::gafgyt::encode_hello("MIPS"));
-  EXPECT_EQ(wire::encode_ping(p), proto::gafgyt::encode_ping());
-  EXPECT_EQ(wire::encode_pong(p), proto::gafgyt::encode_pong());
+  EXPECT_EQ(wire::encode_hello(p, "MIPS"), "BUILD MIPS\n");
+  EXPECT_EQ(wire::decode_hello(p, "BUILD ARMv7\n"), "ARMv7");
+  EXPECT_EQ(wire::encode_ping(p), "PING\n");
+  EXPECT_EQ(wire::encode_pong(p), "PONG\n");
   EXPECT_TRUE(wire::is_ping(p, "PING"));
   EXPECT_FALSE(wire::is_ping(p, "ping me"));
-
-  const auto arch = wire::decode_hello(p, proto::gafgyt::encode_hello("ARMv7"));
-  ASSERT_TRUE(arch.has_value());
-  EXPECT_EQ(*arch, "ARMv7");
-
-  for (const auto type : proto::attacks_of(proto::Family::kGafgyt)) {
-    const auto cmd = make_cmd(proto::Family::kGafgyt, type);
-    const auto ours = wire::encode_text_attack(p, cmd);
-    EXPECT_EQ(ours, proto::gafgyt::encode_attack(cmd)) << proto::to_string(type);
-    const auto d1 = wire::decode_text_attack(p, proto::gafgyt::encode_attack(cmd));
-    const auto d2 = proto::gafgyt::decode_attack(ours);
-    ASSERT_TRUE(d1 && d2) << proto::to_string(type);
-    EXPECT_TRUE(same_command(*d1, cmd));
-    EXPECT_TRUE(same_command(*d2, cmd));
-  }
+  expect_known_commands(p, {{T::kUdpFlood, "!* UDP 198.51.100.7 80 30\n"},
+                            {T::kStd, "!* STD 198.51.100.7 80 30\n"},
+                            {T::kVse, "!* VSE 198.51.100.7 80 30\n"}});
 }
 
 TEST(ProfileWire, Daddyl33tTextFramingMatchesProtoByteForByte) {
   const auto p = builtin_profile(proto::Family::kDaddyl33t);
-  EXPECT_EQ(wire::encode_hello(p, "bot42"), proto::daddyl33t::encode_login("bot42"));
-  EXPECT_EQ(wire::encode_ping(p), proto::daddyl33t::encode_ping());
-  EXPECT_EQ(wire::encode_pong(p), proto::daddyl33t::encode_pong());
-
-  const auto id = wire::decode_hello(p, proto::daddyl33t::encode_login("bot42"));
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(*id, "bot42");
+  EXPECT_EQ(wire::encode_hello(p, "bot42"), "l33t LOGIN bot42\n");
+  EXPECT_EQ(wire::decode_hello(p, "l33t LOGIN bot42\n"), "bot42");
   EXPECT_FALSE(wire::decode_hello(p, "l33t LOGIN a b\n").has_value());
-
-  for (const auto type : proto::attacks_of(proto::Family::kDaddyl33t)) {
-    const auto cmd = make_cmd(proto::Family::kDaddyl33t, type);
-    const auto ours = wire::encode_text_attack(p, cmd);
-    EXPECT_EQ(ours, proto::daddyl33t::encode_attack(cmd)) << proto::to_string(type);
-    const auto d1 = wire::decode_text_attack(p, proto::daddyl33t::encode_attack(cmd));
-    const auto d2 = proto::daddyl33t::decode_attack(ours);
-    ASSERT_TRUE(d1 && d2) << proto::to_string(type);
-    EXPECT_TRUE(same_command(*d1, cmd));
-    EXPECT_TRUE(same_command(*d2, cmd));
-  }
+  EXPECT_EQ(wire::encode_ping(p), ".ping\n");
+  EXPECT_EQ(wire::encode_pong(p), ".pong\n");
+  expect_known_commands(p, {{T::kUdpFlood, "UDPRAW 198.51.100.7 80 30\n"},
+                            {T::kSynFlood, "HYDRASYN 198.51.100.7 80 30\n"},
+                            {T::kTls, "TLS 198.51.100.7 80 30\n"},
+                            {T::kBlacknurse, "NURSE 198.51.100.7 0 30\n"},
+                            {T::kNfo, "NFOV6 198.51.100.7 80 30\n"}});
 }
 
 TEST(ProfileWire, VariantDialectIsIncompatibleWithBuiltin) {
@@ -200,7 +187,6 @@ TEST(ProfileWire, VariantDialectIsIncompatibleWithBuiltin) {
   EXPECT_NE(hs, wire::encode_handshake(builtin, "bot"));
   EXPECT_FALSE(wire::decode_handshake(builtin, hs).has_value());
   EXPECT_TRUE(wire::decode_handshake(variant, hs).has_value());
-  EXPECT_FALSE(proto::mirai::decode_handshake(hs).has_value());
 }
 
 TEST(ProfileWire, EncodeThrowsForMissingCommandType) {
@@ -320,10 +306,11 @@ TEST(ProfileRegistry, BuiltinRegistryServesEveryFamily) {
 }
 
 TEST(ProfileRegistry, LoadingBuiltinDumpKeepsSetHash) {
-  const auto dir = builtin_dump_dir("reg_dump");
+  const testkit::ScratchDir dir("reg_dump");
+  write_builtin_dump(dir);
   Registry reg;
   const auto before = reg.set_hash();
-  ASSERT_FALSE(reg.load_dir(dir).has_value());
+  ASSERT_FALSE(reg.load_dir(dir.path()).has_value());
   EXPECT_EQ(reg.set_hash(), before);
   EXPECT_EQ(reg.set_hash(), Registry::builtin().set_hash());
 }
@@ -331,7 +318,8 @@ TEST(ProfileRegistry, LoadingBuiltinDumpKeepsSetHash) {
 TEST(ProfileRegistry, LoadedVariantChangesSetHashAndResolvesByName) {
   Registry reg;
   const auto before = reg.set_hash();
-  const auto path = tmp_path("variant.json");
+  const testkit::ScratchDir dir("variant");
+  const auto path = dir.file("variant.json");
   write_text(path, make_variant().to_pretty_json());
   ASSERT_FALSE(reg.load_file(path).has_value());
   EXPECT_NE(reg.set_hash(), before);
@@ -346,21 +334,23 @@ TEST(ProfileRegistry, LoadedVariantChangesSetHashAndResolvesByName) {
 TEST(ProfileRegistry, LoadErrorsCarryPathAndContext) {
   Registry reg;
   const auto before = reg.set_hash();
-  const auto path = tmp_path("broken.json");
+  const testkit::ScratchDir dir("broken");
+  const auto path = dir.file("broken.json");
   write_text(path, "{\"family\": \"Mirai\",,}");
   const auto err = reg.load_file(path);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find(path), std::string::npos) << *err;
   EXPECT_NE(err->find("line"), std::string::npos) << *err;
   EXPECT_EQ(reg.set_hash(), before) << "failed load must not mutate the registry";
-  EXPECT_TRUE(reg.load_file(tmp_path("absent.json")).has_value());
+  EXPECT_TRUE(reg.load_file(dir.file("absent.json")).has_value());
 }
 
 // --- world planning ----------------------------------------------------------
 
 TEST(ProfileWorld, VariantRoutingReachesPlanAndForgedBinaries) {
   Registry reg;
-  const auto path = tmp_path("world_variant.json");
+  const testkit::ScratchDir dir("world_variant");
+  const auto path = dir.file("world_variant.json");
   write_text(path, make_variant().to_pretty_json());
   ASSERT_FALSE(reg.load_file(path).has_value());
 
@@ -427,7 +417,8 @@ TEST(ProfileWorld, UnknownOrInvalidVariantConfigThrows) {
 // --- golden study byte-identity ---------------------------------------------
 
 TEST(ProfileGolden, LoadedBuiltinsReproduceStudyByteForByte) {
-  const auto dir = builtin_dump_dir("golden_dump");
+  const testkit::ScratchDir dir("golden_dump");
+  write_builtin_dump(dir);
   for (const int shards : {1, 2}) {
     core::ParallelStudyConfig base;
     base.base.seed = 22;
@@ -439,7 +430,7 @@ TEST(ProfileGolden, LoadedBuiltinsReproduceStudyByteForByte) {
         report::serialize_datasets(core::ParallelStudy(base).run());
 
     auto reg = std::make_shared<Registry>();
-    ASSERT_FALSE(reg->load_dir(dir).has_value());
+    ASSERT_FALSE(reg->load_dir(dir.path()).has_value());
     auto loaded = base;
     loaded.base.profiles = reg;
     const auto with_profiles =
@@ -448,11 +439,52 @@ TEST(ProfileGolden, LoadedBuiltinsReproduceStudyByteForByte) {
   }
 }
 
+// --- analyst decoding of a variant dialect -------------------------------------
+
+TEST(ProfileStudy, RenamedVerbVariantIsDecodedByItsOwnProfile) {
+  // A data-only Daddyl33t fork with all five verbs renamed, carrying every
+  // Daddyl33t C2 of the study. Method (a) decodes through the study's
+  // registry, so the variant's commands are recovered from its profile and
+  // the study records exactly as many attacks as the builtin dialect's.
+  auto v2 = builtin_profile(proto::Family::kDaddyl33t);
+  v2.name = "daddyl33t-v2";
+  v2.commands = {{proto::AttackType::kUdpFlood, 0, "UDPX"},
+                 {proto::AttackType::kSynFlood, 0, "SYNX"},
+                 {proto::AttackType::kTls, 0, "TLSX"},
+                 {proto::AttackType::kBlacknurse, 0, "NURSEX"},
+                 {proto::AttackType::kNfo, 0, "NFOX"}};
+  const testkit::ScratchDir dir("renamed_verbs");
+  write_text(dir.file("daddyl33t-v2.json"), v2.to_pretty_json());
+  auto reg = std::make_shared<Registry>();
+  ASSERT_FALSE(reg->load_dir(dir.path()).has_value());
+
+  core::ParallelStudyConfig base;
+  base.base.seed = 22;
+  base.base.run_probe_campaign = false;
+  const auto builtin = core::ParallelStudy(base).run();
+  auto cfg = base;
+  cfg.base.profiles = reg;
+  cfg.base.world.variant_name = "daddyl33t-v2";
+  cfg.base.world.variant_fraction = 1.0;
+  const auto variant = core::ParallelStudy(cfg).run();
+
+  ASSERT_FALSE(builtin.d_ddos.empty());
+  EXPECT_EQ(variant.d_ddos.size(), builtin.d_ddos.size());
+  int in_variant_dialect = 0;
+  for (const auto& r : variant.d_ddos) {
+    const auto& cmd = r.detection.command;
+    EXPECT_EQ(r.detection.method, core::DdosMethod::kProtocolProfile) << cmd.summary();
+    if (wire::decode_text_attack(v2, util::to_string(cmd.raw))) ++in_variant_dialect;
+  }
+  EXPECT_GT(in_variant_dialect, 0);
+}
+
 // --- variant end-to-end (C2 server <-> sandboxed bot) ------------------------
 
 TEST(ProfileEndToEnd, VariantBotSpeaksVariantDialectOnly) {
   Registry reg;
-  const auto path = tmp_path("e2e_variant.json");
+  const testkit::ScratchDir dir("e2e_variant");
+  const auto path = dir.file("e2e_variant.json");
   write_text(path, make_variant().to_pretty_json());
   ASSERT_FALSE(reg.load_file(path).has_value());
 

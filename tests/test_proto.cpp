@@ -1,15 +1,31 @@
+// src/proto (family ids, the attack taxonomy, IRC and P2P framing) and the
+// C2 dialect codecs of profile::wire, parametrised over every dialect, with
+// known-answer cases for the builtin families.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "dialects.hpp"
 #include "proto/attack.hpp"
-#include "proto/daddyl33t.hpp"
 #include "proto/family.hpp"
-#include "proto/gafgyt.hpp"
 #include "proto/irc.hpp"
-#include "proto/mirai.hpp"
 #include "proto/p2p.hpp"
 
 using namespace malnet;
 using namespace malnet::proto;
+namespace wire = malnet::profile::wire;
+
+namespace {
+
+AttackCommand command(AttackType type, net::Endpoint target, std::uint32_t secs = 30) {
+  AttackCommand cmd;
+  cmd.type = type;
+  cmd.target = target;
+  cmd.duration_s = secs;
+  return cmd;
+}
+
+}  // namespace
 
 // --- family ------------------------------------------------------------------
 
@@ -55,127 +71,221 @@ TEST(Attack, GamingTypes) {
 
 TEST(Attack, FamilyRepertoires) {
   // Figure 11: Mirai 5 types, Daddyl33t 5 (most diverse incl. NURSE/NFO),
-  // Gafgyt 3; together they cover all 8.
+  // Gafgyt 3; together they cover all 8. Only these three attack.
+  const auto& reg = profile::Registry::builtin();
   std::set<AttackType> all;
   for (const Family f : {Family::kMirai, Family::kGafgyt, Family::kDaddyl33t}) {
-    for (const auto t : attacks_of(f)) all.insert(t);
+    for (const auto t : reg.active(f)->command_types()) all.insert(t);
   }
   EXPECT_EQ(all.size(), static_cast<std::size_t>(kAttackTypeCount));
-  EXPECT_EQ(attacks_of(Family::kMirai).size(), 5u);
-  EXPECT_EQ(attacks_of(Family::kGafgyt).size(), 3u);
-  EXPECT_EQ(attacks_of(Family::kDaddyl33t).size(), 5u);
-  EXPECT_TRUE(attacks_of(Family::kTsunami).empty());
-  EXPECT_TRUE(attacks_of(Family::kMozi).empty());
+  EXPECT_EQ(reg.active(Family::kMirai)->commands.size(), 5u);
+  EXPECT_EQ(reg.active(Family::kGafgyt)->commands.size(), 3u);
+  EXPECT_EQ(reg.active(Family::kDaddyl33t)->commands.size(), 5u);
+  for (const Family f : {Family::kTsunami, Family::kMozi, Family::kHajime,
+                         Family::kVpnFilter}) {
+    EXPECT_EQ(reg.active(f)->attacker_quota, 0) << to_string(f);
+  }
+  EXPECT_TRUE(reg.active(Family::kMozi)->commands.empty());
 }
 
 TEST(Attack, KeywordMappingsInvertible) {
-  for (const auto t : attacks_of(Family::kGafgyt)) {
-    const auto kw = gafgyt_keyword_of(t);
-    ASSERT_TRUE(kw);
-    EXPECT_EQ(gafgyt_keyword_to_type(*kw), t);
+  for (const auto* p : dialects::all()) {
+    for (const auto& c : p->commands) {
+      const auto* back =
+          dialects::is_binary(*p) ? p->by_vector(c.vector) : p->by_keyword(c.keyword);
+      EXPECT_EQ(back, &c) << p->name;
+      EXPECT_EQ(p->by_type(c.type), &c) << p->name;
+    }
   }
-  for (const auto t : attacks_of(Family::kDaddyl33t)) {
-    const auto kw = daddyl33t_keyword_of(t);
-    ASSERT_TRUE(kw);
-    EXPECT_EQ(daddyl33t_keyword_to_type(*kw), t);
-  }
-  for (const auto t : attacks_of(Family::kMirai)) {
-    const auto vec = mirai_vector_of(t);
-    ASSERT_TRUE(vec);
-    EXPECT_EQ(mirai_vector_to_type(*vec), t);
-  }
-  EXPECT_FALSE(gafgyt_keyword_of(AttackType::kBlacknurse));
-  EXPECT_FALSE(mirai_vector_to_type(99));
+  const auto& reg = profile::Registry::builtin();
+  EXPECT_EQ(reg.active(Family::kGafgyt)->by_type(AttackType::kBlacknurse), nullptr);
+  EXPECT_EQ(reg.active(Family::kMirai)->by_vector(99), nullptr);
 }
 
-// --- Mirai binary protocol -----------------------------------------------------
+// --- C2 dialect codecs (profile::wire), one law per test over every dialect --
+// The round-trip and no-crash laws live in test_fuzz_proto (DialectLaw).
+
+class DialectCodec : public ::testing::TestWithParam<std::string> {
+ protected:
+  const profile::FamilyProfile& p() const { return dialects::get(GetParam()); }
+};
+
+INSTANTIATE_TEST_SUITE_P(Dialects, DialectCodec, ::testing::ValuesIn(dialects::names()),
+                         dialects::test_name);
+
+TEST_P(DialectCodec, KeepalivesAreRecognised) {
+  if (dialects::is_binary(p())) {
+    EXPECT_TRUE(wire::is_keepalive(wire::encode_keepalive()));
+    EXPECT_FALSE(wire::is_keepalive(util::from_hex("0001")));
+  } else {
+    EXPECT_TRUE(wire::is_ping(p(), wire::encode_ping(p())));
+    EXPECT_TRUE(wire::is_pong(p(), wire::encode_pong(p())));
+    EXPECT_FALSE(wire::is_ping(p(), wire::encode_pong(p())));
+    EXPECT_FALSE(wire::is_ping(p(), p().ping_word + " yes"));
+  }
+}
+
+TEST_P(DialectCodec, EncodeRejectsForeignTypes) {
+  for (int t = 0; t < kAttackTypeCount; ++t) {
+    const auto type = static_cast<AttackType>(t);
+    if (p().by_type(type) != nullptr) continue;
+    EXPECT_THROW((void)dialects::encode_attack(p(), command(type, {})),
+                 std::invalid_argument)
+        << to_string(type);
+  }
+}
+
+TEST_P(DialectCodec, DecodeRejectsMalformed) {
+  const auto cmd = command(p().commands.front().type, {net::Ipv4{1, 2, 3, 4}, 80}, 10);
+  if (dialects::is_binary(p())) {
+    // Keepalive, short body, truncated body.
+    for (const char* hex : {"0000", "0001 00", "00ff 00"}) {
+      EXPECT_FALSE(wire::decode_binary_attack(p(), util::from_hex(hex))) << hex;
+    }
+    auto frame = wire::encode_binary_attack(p(), cmd);
+    frame[6] = 99;  // unknown vector id
+    EXPECT_FALSE(wire::decode_binary_attack(p(), frame));
+    auto hello = wire::encode_handshake(p(), "aa");
+    hello[4] = 5;  // id_len 5, two id bytes
+    EXPECT_FALSE(wire::decode_handshake(p(), hello));
+    hello = wire::encode_handshake(p(), "x");
+    hello.push_back(0);  // trailing garbage
+    EXPECT_FALSE(wire::decode_handshake(p(), hello));
+    return;
+  }
+  const std::string line = wire::encode_text_attack(p(), cmd);  // "... 1.2.3.4 80 10\n"
+  const auto with = [&line](const std::string& from, const std::string& to) {
+    const auto at = line.find(from);
+    return line.substr(0, at) + to + line.substr(at + from.size());
+  };
+  std::vector<std::string> bad = {
+      with(" 10\n", "\n"),                                     // missing time
+      with(p().commands.front().keyword, "NOSUCHVERB"),        // foreign verb
+      with("1.2.3.4", "1.2.3.999"), with(" 80 ", " 99999 ")};  // bad ip, bad port
+  if (p().attack_prefix.empty()) {
+    bad.push_back("!* " + line);  // a prefix it does not take
+  } else {
+    bad.push_back(with(p().attack_prefix + " ", ""));     // missing prefix
+    bad.push_back(with(p().attack_prefix + " ", "!! "));  // wrong prefix
+  }
+  for (const auto& malformed : bad) {
+    EXPECT_FALSE(wire::decode_text_attack(p(), malformed)) << malformed;
+  }
+  const auto hello = wire::encode_hello(p(), "bot42");
+  EXPECT_FALSE(wire::decode_hello(p(), "HELLO" + hello.substr(hello.find(' '))));
+}
+
+TEST_P(DialectCodec, OtherDialectsNeverMisreadIt) {
+  // Every other dialect rejects this one's hello, and reads its commands
+  // identically or not at all (§2.5a): the DDoS decoder may therefore
+  // attribute a command to the first dialect that decodes it.
+  const auto hello = dialects::encode_hello(p(), "bot42");
+  for (const auto* q : dialects::all()) {
+    if (q != &p()) {
+      EXPECT_FALSE(dialects::decode_hello(*q, hello)) << q->name;
+    }
+    for (const auto type : p().command_types()) {
+      const auto bytes = dialects::encode_attack(p(), command(type, {{1, 2, 3, 4}, 80}));
+      if (const auto read = dialects::decode_attack(*q, bytes)) {
+        EXPECT_EQ(dialects::encode_attack(*q, *read), bytes) << q->name << " misreads it";
+      }
+    }
+  }
+}
+
+// --- builtin dialects: known answers ------------------------------------------
+// Concrete cases of the laws above, on the dialect each family speaks unless
+// a study loads profiles.
+
+namespace {
+
+const profile::FamilyProfile& builtin(Family f) {
+  return *profile::Registry::builtin().active(f);
+}
+
+}  // namespace
 
 TEST(Mirai, HandshakeRoundTrip) {
-  const auto wire = mirai::encode_handshake("mips.bot.7");
-  const auto hs = mirai::decode_handshake(wire);
+  const auto& mirai = builtin(Family::kMirai);
+  const auto hs = wire::decode_handshake(mirai, wire::encode_handshake(mirai, "mips.bot.7"));
   ASSERT_TRUE(hs);
   EXPECT_EQ(hs->bot_id, "mips.bot.7");
 }
 
 TEST(Mirai, HandshakeRejectsJunk) {
-  EXPECT_FALSE(mirai::decode_handshake(util::from_hex("00000002 00")));
-  EXPECT_FALSE(mirai::decode_handshake(util::from_hex("00000001 05 6161")));
-  auto wire = mirai::encode_handshake("x");
-  wire.push_back(0);  // trailing garbage
-  EXPECT_FALSE(mirai::decode_handshake(wire));
+  const auto& mirai = builtin(Family::kMirai);
+  EXPECT_FALSE(wire::decode_handshake(mirai, util::from_hex("00000002 00")));  // magic 2
+  EXPECT_FALSE(wire::decode_handshake(mirai, util::from_hex("00000001 05 6161")));
+  auto hello = wire::encode_handshake(mirai, "x");
+  hello.push_back(0);  // trailing garbage
+  EXPECT_FALSE(wire::decode_handshake(mirai, hello));
 }
 
 TEST(Mirai, Keepalive) {
-  EXPECT_TRUE(mirai::is_keepalive(mirai::encode_keepalive()));
-  EXPECT_FALSE(mirai::is_keepalive(util::from_hex("0001")));
+  EXPECT_TRUE(wire::is_keepalive(wire::encode_keepalive()));
+  EXPECT_FALSE(wire::is_keepalive(util::from_hex("0001")));
 }
 
 TEST(Mirai, AttackCommandRoundTrip) {
-  AttackCommand cmd;
-  cmd.type = AttackType::kSynFlood;
-  cmd.target = {net::Ipv4{203, 0, 113, 9}, 443};
-  cmd.duration_s = 120;
-  const auto wire = mirai::encode_attack(cmd);
-  const auto decoded = mirai::decode_attack(wire);
+  const auto& mirai = builtin(Family::kMirai);
+  const auto cmd = command(AttackType::kSynFlood, {net::Ipv4{203, 0, 113, 9}, 443}, 120);
+  const auto frame = wire::encode_binary_attack(mirai, cmd);
+  const auto decoded = wire::decode_binary_attack(mirai, frame);
   ASSERT_TRUE(decoded);
   EXPECT_EQ(decoded->type, AttackType::kSynFlood);
   EXPECT_EQ(decoded->target, cmd.target);
   EXPECT_EQ(decoded->duration_s, 120u);
   EXPECT_EQ(decoded->family, Family::kMirai);
-  EXPECT_EQ(decoded->raw, wire);
+  EXPECT_EQ(decoded->raw, frame);
 }
 
 TEST(Mirai, AttackWithoutPortOption) {
-  AttackCommand cmd;
-  cmd.type = AttackType::kUdpFlood;
-  cmd.target = {net::Ipv4{1, 2, 3, 4}, 0};
-  const auto decoded = mirai::decode_attack(mirai::encode_attack(cmd));
+  const auto& mirai = builtin(Family::kMirai);
+  const auto decoded = wire::decode_binary_attack(
+      mirai,
+      wire::encode_binary_attack(mirai, command(AttackType::kUdpFlood, {{1, 2, 3, 4}, 0})));
   ASSERT_TRUE(decoded);
   EXPECT_EQ(decoded->target.port, 0);
 }
 
 TEST(Mirai, EncodeRejectsForeignTypes) {
-  AttackCommand cmd;
-  cmd.type = AttackType::kBlacknurse;  // daddyl33t-only
-  EXPECT_THROW((void)mirai::encode_attack(cmd), std::invalid_argument);
+  const auto cmd = command(AttackType::kBlacknurse, {});  // Daddyl33t-only
+  EXPECT_THROW((void)wire::encode_binary_attack(builtin(Family::kMirai), cmd),
+               std::invalid_argument);
 }
 
 TEST(Mirai, DecodeRejectsMalformedFrames) {
-  EXPECT_FALSE(mirai::decode_attack(util::from_hex("0000")));       // keepalive
-  EXPECT_FALSE(mirai::decode_attack(util::from_hex("0001 00")));    // short body
-  EXPECT_FALSE(mirai::decode_attack(util::from_hex("00ff 00")));    // truncated
-  AttackCommand cmd;
-  cmd.type = AttackType::kUdpFlood;
-  cmd.target = {net::Ipv4{1, 2, 3, 4}, 80};
-  auto wire = mirai::encode_attack(cmd);
-  wire[6] = 99;  // unknown vector id
-  EXPECT_FALSE(mirai::decode_attack(wire));
+  const auto& mirai = builtin(Family::kMirai);
+  EXPECT_FALSE(wire::decode_binary_attack(mirai, util::from_hex("0000")));     // keepalive
+  EXPECT_FALSE(wire::decode_binary_attack(mirai, util::from_hex("0001 00")));  // short body
+  EXPECT_FALSE(wire::decode_binary_attack(mirai, util::from_hex("00ff 00")));  // truncated
+  auto frame =
+      wire::encode_binary_attack(mirai, command(AttackType::kUdpFlood, {{1, 2, 3, 4}, 80}));
+  frame[6] = 99;  // unknown vector id
+  EXPECT_FALSE(wire::decode_binary_attack(mirai, frame));
 }
 
-// --- Gafgyt text protocol -----------------------------------------------------
-
 TEST(Gafgyt, HelloRoundTrip) {
-  const auto hello = gafgyt::encode_hello("MIPS");
-  const auto arch = gafgyt::decode_hello(hello);
+  const auto& gafgyt = builtin(Family::kGafgyt);
+  const auto arch = wire::decode_hello(gafgyt, wire::encode_hello(gafgyt, "MIPS"));
   ASSERT_TRUE(arch);
   EXPECT_EQ(*arch, "MIPS");
-  EXPECT_FALSE(gafgyt::decode_hello("HELLO MIPS"));
+  EXPECT_FALSE(wire::decode_hello(gafgyt, "HELLO MIPS"));
 }
 
 TEST(Gafgyt, PingPong) {
-  EXPECT_TRUE(gafgyt::is_ping("PING\n"));
-  EXPECT_TRUE(gafgyt::is_pong("PONG\n"));
-  EXPECT_FALSE(gafgyt::is_ping("PING yes"));
+  const auto& gafgyt = builtin(Family::kGafgyt);
+  EXPECT_TRUE(wire::is_ping(gafgyt, "PING\n"));
+  EXPECT_TRUE(wire::is_pong(gafgyt, "PONG\n"));
+  EXPECT_FALSE(wire::is_ping(gafgyt, "PING yes"));
 }
 
 TEST(Gafgyt, AttackRoundTrip) {
-  AttackCommand cmd;
-  cmd.type = AttackType::kStd;
-  cmd.target = {net::Ipv4{198, 51, 100, 7}, 9999};
-  cmd.duration_s = 60;
-  const auto line = gafgyt::encode_attack(cmd);
+  const auto& gafgyt = builtin(Family::kGafgyt);
+  const auto cmd = command(AttackType::kStd, {net::Ipv4{198, 51, 100, 7}, 9999}, 60);
+  const auto line = wire::encode_text_attack(gafgyt, cmd);
   EXPECT_EQ(line, "!* STD 198.51.100.7 9999 60\n");
-  const auto decoded = gafgyt::decode_attack(line);
+  const auto decoded = wire::decode_text_attack(gafgyt, line);
   ASSERT_TRUE(decoded);
   EXPECT_EQ(decoded->type, AttackType::kStd);
   EXPECT_EQ(decoded->target, cmd.target);
@@ -183,31 +293,29 @@ TEST(Gafgyt, AttackRoundTrip) {
 }
 
 TEST(Gafgyt, DecodeRejectsMalformed) {
-  EXPECT_FALSE(gafgyt::decode_attack("!* UDP 1.2.3.4 80"));          // missing time
-  EXPECT_FALSE(gafgyt::decode_attack("!* HYDRASYN 1.2.3.4 80 10"));  // foreign verb
-  EXPECT_FALSE(gafgyt::decode_attack("UDP 1.2.3.4 80 10"));          // no prefix
-  EXPECT_FALSE(gafgyt::decode_attack("!* UDP 1.2.3.999 80 10"));     // bad ip
-  EXPECT_FALSE(gafgyt::decode_attack("!* UDP 1.2.3.4 99999 10"));    // bad port
+  const auto& gafgyt = builtin(Family::kGafgyt);
+  EXPECT_FALSE(wire::decode_text_attack(gafgyt, "!* UDP 1.2.3.4 80"));          // missing time
+  EXPECT_FALSE(wire::decode_text_attack(gafgyt, "!* HYDRASYN 1.2.3.4 80 10"));  // foreign verb
+  EXPECT_FALSE(wire::decode_text_attack(gafgyt, "UDP 1.2.3.4 80 10"));          // no prefix
+  EXPECT_FALSE(wire::decode_text_attack(gafgyt, "!* UDP 1.2.3.999 80 10"));     // bad ip
+  EXPECT_FALSE(wire::decode_text_attack(gafgyt, "!* UDP 1.2.3.4 99999 10"));    // bad port
 }
 
-// --- Daddyl33t text protocol ---------------------------------------------------
-
 TEST(Daddyl33t, LoginRoundTrip) {
-  const auto line = daddyl33t::encode_login("bot42");
-  const auto id = daddyl33t::decode_login(line);
+  const auto& daddyl33t = builtin(Family::kDaddyl33t);
+  const auto id = wire::decode_hello(daddyl33t, wire::encode_hello(daddyl33t, "bot42"));
   ASSERT_TRUE(id);
   EXPECT_EQ(*id, "bot42");
-  EXPECT_FALSE(daddyl33t::decode_login("LOGIN bot42"));
+  EXPECT_FALSE(wire::decode_hello(daddyl33t, "LOGIN bot42"));
 }
 
 TEST(Daddyl33t, AttackRoundTripAllVerbs) {
-  for (const auto type : attacks_of(Family::kDaddyl33t)) {
-    AttackCommand cmd;
-    cmd.type = type;
-    cmd.target = {net::Ipv4{192, 0, 2, 55},
-                  type == AttackType::kBlacknurse ? net::Port{0} : net::Port{4567}};
-    cmd.duration_s = 45;
-    const auto decoded = daddyl33t::decode_attack(daddyl33t::encode_attack(cmd));
+  const auto& daddyl33t = builtin(Family::kDaddyl33t);
+  for (const auto type : daddyl33t.command_types()) {
+    const net::Port port = type == AttackType::kBlacknurse ? 0 : 4567;
+    const auto cmd = command(type, {net::Ipv4{192, 0, 2, 55}, port}, 45);
+    const auto decoded =
+        wire::decode_text_attack(daddyl33t, wire::encode_text_attack(daddyl33t, cmd));
     ASSERT_TRUE(decoded) << to_string(type);
     EXPECT_EQ(decoded->type, type);
     EXPECT_EQ(decoded->target, cmd.target);
@@ -217,12 +325,14 @@ TEST(Daddyl33t, AttackRoundTripAllVerbs) {
 
 TEST(Daddyl33t, GrammarIsDistinctFromGafgyt) {
   // The same UDP attack encodes differently per family profile (§2.5a).
-  AttackCommand cmd;
-  cmd.type = AttackType::kUdpFlood;
-  cmd.target = {net::Ipv4{1, 2, 3, 4}, 80};
-  EXPECT_NE(daddyl33t::encode_attack(cmd), gafgyt::encode_attack(cmd));
-  EXPECT_FALSE(gafgyt::decode_attack(daddyl33t::encode_attack(cmd)));
-  EXPECT_FALSE(daddyl33t::decode_attack(gafgyt::encode_attack(cmd)));
+  const auto& daddyl33t = builtin(Family::kDaddyl33t);
+  const auto& gafgyt = builtin(Family::kGafgyt);
+  const auto cmd = command(AttackType::kUdpFlood, {{1, 2, 3, 4}, 80});
+  const auto ours = wire::encode_text_attack(daddyl33t, cmd);
+  const auto theirs = wire::encode_text_attack(gafgyt, cmd);
+  EXPECT_NE(ours, theirs);
+  EXPECT_FALSE(wire::decode_text_attack(gafgyt, ours));
+  EXPECT_FALSE(wire::decode_text_attack(daddyl33t, theirs));
 }
 
 // --- IRC (Tsunami) -------------------------------------------------------------

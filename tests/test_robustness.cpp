@@ -12,11 +12,10 @@
 #include "core/c2detect.hpp"
 #include "core/offline.hpp"
 #include "net/pcap.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
+#include "dialects.hpp"
 #include "proto/irc.hpp"
-#include "proto/mirai.hpp"
 #include "proto/p2p.hpp"
+#include "testkit/scratch.hpp"
 #include "util/rng.hpp"
 
 using namespace malnet;
@@ -57,19 +56,20 @@ void corruption_sweep(const util::Bytes& valid, F&& decode) {
 }  // namespace
 
 TEST(Robustness, MiraiDecoders) {
-  const auto decode = [](const util::Bytes& b) {
-    (void)proto::mirai::decode_handshake(b);
-    (void)proto::mirai::decode_attack(b);
-    (void)proto::mirai::is_keepalive(b);
-  };
-  random_soup(decode, 1);
-  proto::AttackCommand cmd;
-  cmd.type = proto::AttackType::kUdpFlood;
-  cmd.target = {net::Ipv4{1, 2, 3, 4}, 80};
-  const auto valid = proto::mirai::encode_attack(cmd);
-  truncation_sweep(valid, decode);
-  corruption_sweep(valid, decode);
-  truncation_sweep(proto::mirai::encode_handshake("bot-id"), decode);
+  for (const auto* p : dialects::all()) {  // the binary (Mirai-grammar) dialects
+    if (!dialects::is_binary(*p)) continue;
+    const auto decode = [p](const util::Bytes& b) {
+      (void)dialects::any_decoder_accepts(*p, b);
+    };
+    random_soup(decode, 1);
+    proto::AttackCommand cmd;
+    cmd.type = proto::AttackType::kUdpFlood;
+    cmd.target = {net::Ipv4{1, 2, 3, 4}, 80};
+    const auto valid = profile::wire::encode_binary_attack(*p, cmd);
+    truncation_sweep(valid, decode);
+    corruption_sweep(valid, decode);
+    truncation_sweep(profile::wire::encode_handshake(*p, "bot-id"), decode);
+  }
 }
 
 TEST(Robustness, TextProtocolDecoders) {
@@ -80,10 +80,10 @@ TEST(Robustness, TextProtocolDecoders) {
     for (std::size_t k = 0; k < len; ++k) {
       line.push_back(static_cast<char>(rng.uniform(1, 255)));
     }
-    (void)proto::gafgyt::decode_attack(line);
-    (void)proto::gafgyt::decode_hello(line);
-    (void)proto::daddyl33t::decode_attack(line);
-    (void)proto::daddyl33t::decode_login(line);
+    for (const auto* p : dialects::all()) {
+      if (dialects::is_binary(*p)) continue;
+      (void)dialects::any_decoder_accepts(*p, util::to_bytes(line));
+    }
     (void)proto::irc::parse(line);
   }
 }
@@ -205,7 +205,8 @@ TEST(Robustness, OfflineRoundTripPreservesAnalysis) {
     syn.flags.syn = true;
     w.add(syn);
   }
-  const std::string path = ::testing::TempDir() + "/offline.pcap";
+  const testkit::ScratchDir dir("offline");
+  const std::string path = dir.file("offline.pcap");
   w.save(path);
   const auto report = core::report_from_pcap(path);
   const auto cands = core::detect_c2(report, net::Ipv4{10, 99, 7, 7});

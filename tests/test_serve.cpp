@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -23,20 +22,20 @@
 #include "serve/wire.hpp"
 #include "store/store.hpp"
 #include "testkit/mutate.hpp"
+#include "testkit/scratch.hpp"
 #include "util/rng.hpp"
 #include "util/socket.hpp"
 
 using namespace malnet;
-namespace fs = std::filesystem;
 
 namespace {
 
 /// One small committed store shared by every server test in this binary
 /// (building it runs a real two-shard study; do that once).
 const std::string& fixture_dir() {
+  static const testkit::ScratchDir kScratch("serve_fixture");
   static const std::string kDir = [] {
-    const auto dir = ::testing::TempDir() + "/serve_fixture";
-    fs::remove_all(dir);
+    const auto& dir = kScratch.path();
     core::ParallelStudyConfig cfg;
     cfg.base.seed = 22;
     cfg.base.world.total_samples = 48;

@@ -20,6 +20,7 @@
 #include "store/store.hpp"
 #include "testkit/check.hpp"
 #include "testkit/gen.hpp"
+#include "testkit/scratch.hpp"
 #include "util/fsio.hpp"
 
 using namespace malnet;
@@ -40,13 +41,6 @@ core::ParallelStudyConfig study_config(
   cfg.shards = shards;
   cfg.jobs = jobs;
   return cfg;
-}
-
-/// Fresh per-test store directory (TempDir is shared across the binary).
-std::string fresh_dir(const std::string& name) {
-  const auto dir = ::testing::TempDir() + "/store_" + name;
-  fs::remove_all(dir);
-  return dir;
 }
 
 util::Bytes study_bytes(const core::ParallelStudyConfig& cfg) {
@@ -136,7 +130,8 @@ TEST(SegmentCodec, HeaderRoundTripAndHash) {
 }
 
 TEST(Store, CommitPersistsAcrossReopen) {
-  const auto dir = fresh_dir("reopen");
+  const testkit::ScratchDir scratch("store_reopen");
+  const auto& dir = scratch.path();
   const auto results = core::ParallelStudy(study_config(7, 20, 1, 1)).run();
   SegmentMeta committed;
   {
@@ -159,7 +154,8 @@ TEST(Store, CommitPersistsAcrossReopen) {
 }
 
 TEST(Store, StoreStudyMatchesParallelStudyAndResumes) {
-  const auto dir = fresh_dir("full");
+  const testkit::ScratchDir scratch("store_full");
+  const auto& dir = scratch.path();
   const auto cfg = study_config(22, 60, 4, 2);
   const auto baseline = study_bytes(cfg);
 
@@ -205,9 +201,8 @@ TEST(Store, FingerprintCoversProfileSetAndVariant) {
 
   // Loading files byte-equivalent to the builtins must not invalidate a
   // resume (the committed profiles/ directory is exactly such a set).
-  const auto dir = fs::path(::testing::TempDir()) / "fp_profiles";
-  fs::remove_all(dir);  // a previous run's variant file must not leak in
-  fs::create_directories(dir);
+  const testkit::ScratchDir scratch("fp_profiles");
+  const fs::path dir = scratch.path();
   for (const auto* p : profile::Registry::builtin().all()) {
     std::ofstream(dir / (p->name + ".json")) << p->to_pretty_json();
   }
@@ -241,13 +236,13 @@ TEST(Store, ResumeFromPartialCommitMatrix) {
   // A kill between shard commits leaves an arbitrary prefix/subset durable.
   // For every jobs x chaos combination, resuming from a two-of-four subset
   // must reproduce the uninterrupted artifact byte-for-byte.
-  int case_id = 0;
   for (const int jobs : {1, 4}) {
     for (const auto chaos :
          {faultsim::Profile::kNone, faultsim::Profile::kHostile}) {
       const auto cfg = study_config(22, 48, 4, jobs, chaos);
       const auto baseline = study_bytes(cfg);
-      const auto dir = fresh_dir("matrix" + std::to_string(case_id++));
+      const testkit::ScratchDir scratch("store_matrix");
+      const auto& dir = scratch.path();
       Store st(dir);
       commit_shard_subset(st, cfg, 0b0101);  // shards 0 and 2 survived
       const auto resumed = run_store_study(cfg, st, /*resume=*/true);
@@ -266,15 +261,15 @@ TEST(StoreProps, AnyKillPointResumesToIdenticalBytes) {
   // uninterrupted run, under hostile chaos and parallel workers.
   const auto cfg = study_config(33, 48, 4, 4, faultsim::Profile::kHostile);
   const auto baseline = study_bytes(cfg);
-  int case_id = 0;
   testkit::CheckConfig check_cfg;
   check_cfg.cases = 6;
   check_cfg.name = "kill-point resume identity";
-  check_cfg.env_overrides = false;  // the dir-per-case counter is not shrink-safe
+  check_cfg.env_overrides = false;  // each case resumes a real study
   const auto r = testkit::check(
       testkit::ints<unsigned>(0, 15),
       [&](unsigned mask) {
-        const auto dir = fresh_dir("kill" + std::to_string(case_id++));
+        const testkit::ScratchDir scratch("store_kill");
+        const auto& dir = scratch.path();
         Store st(dir);
         commit_shard_subset(st, cfg, mask);
         const auto resumed = run_store_study(cfg, st, /*resume=*/true);
@@ -285,7 +280,8 @@ TEST(StoreProps, AnyKillPointResumesToIdenticalBytes) {
 }
 
 TEST(Store, CorruptSegmentIsDetectedAndReRun) {
-  const auto dir = fresh_dir("corrupt");
+  const testkit::ScratchDir scratch("store_corrupt");
+  const auto& dir = scratch.path();
   const auto cfg = study_config(22, 40, 2, 1);
   const auto baseline = study_bytes(cfg);
   Store st(dir);
@@ -312,7 +308,8 @@ TEST(Store, CorruptSegmentIsDetectedAndReRun) {
 }
 
 TEST(Store, OpenCollectsCrashLitter) {
-  const auto dir = fresh_dir("gc");
+  const testkit::ScratchDir scratch("store_gc");
+  const auto& dir = scratch.path();
   {
     Store st(dir);
     const auto results = core::ParallelStudy(study_config(7, 20, 1, 1)).run();
@@ -334,14 +331,16 @@ TEST(Store, OpenCollectsCrashLitter) {
 }
 
 TEST(Store, CorruptManifestThrows) {
-  const auto dir = fresh_dir("badmanifest");
+  const testkit::ScratchDir scratch("store_badmanifest");
+  const auto& dir = scratch.path();
   { Store st(dir); }
   std::ofstream(dir + "/MANIFEST") << "not a manifest\n";
   EXPECT_THROW(Store{dir}, std::runtime_error);
 }
 
 TEST(Query, AnswersFromIndexesOnlyAndMatchesMonolithic) {
-  const auto dir = fresh_dir("query");
+  const testkit::ScratchDir scratch("store_query");
+  const auto& dir = scratch.path();
   const auto cfg = study_config(22, 60, 3, 2);
   Store writer(dir);
   const auto monolithic = run_store_study(cfg, writer, /*resume=*/false);
@@ -377,7 +376,8 @@ TEST(Query, AnswersFromIndexesOnlyAndMatchesMonolithic) {
 }
 
 TEST(Query, IngestAndCompactPreserveAnswers) {
-  const auto dir = fresh_dir("compact");
+  const testkit::ScratchDir scratch("store_compact");
+  const auto& dir = scratch.path();
   Store st(dir);
   const auto batch_a = core::ParallelStudy(study_config(5, 30, 1, 1)).run();
   const auto batch_b = core::ParallelStudy(study_config(6, 30, 1, 1)).run();
@@ -417,7 +417,8 @@ TEST(Query, IngestAndCompactPreserveAnswers) {
 }
 
 TEST(Query, ServeLoopAnswersUntilQuit) {
-  const auto dir = fresh_dir("serve");
+  const testkit::ScratchDir scratch("store_serve");
+  const auto& dir = scratch.path();
   Store st(dir);
   st.commit(core::ParallelStudy(study_config(5, 20, 1, 1)).run(),
             SegmentKind::kIngest, 0, 0, 1, 5);
@@ -436,7 +437,8 @@ TEST(DatasetIo, SaveDatasetsReplacesAtomically) {
   // into the destination, so a crash mid-write left a torn artifact. Now it
   // stages to a hidden temp and renames; the destination either keeps its
   // old content or has the complete new one, and no temp survives.
-  const auto dir = ::testing::TempDir();
+  const testkit::ScratchDir scratch("atomic_save");
+  const auto& dir = scratch.path();
   const auto path = dir + "/atomic.mds";
   std::ofstream(path) << "previous artifact";
   const auto results = core::ParallelStudy(study_config(7, 20, 1, 1)).run();
@@ -453,7 +455,8 @@ TEST(DatasetIo, SaveDatasetsReplacesAtomically) {
 // --- health probe (the /healthz backing, ISSUE 8) ---------------------------
 
 TEST(Store, HealthReportsOkOnAValidStore) {
-  const auto dir = fresh_dir("health_ok");
+  const testkit::ScratchDir scratch("store_health_ok");
+  const auto& dir = scratch.path();
   Store st(dir);
   auto h = st.health();
   EXPECT_TRUE(h.ok) << h.detail;
@@ -468,7 +471,8 @@ TEST(Store, HealthReportsOkOnAValidStore) {
 }
 
 TEST(Store, HealthDetectsManifestDamageWhileServing) {
-  const auto dir = fresh_dir("health_bad");
+  const testkit::ScratchDir scratch("store_health_bad");
+  const auto& dir = scratch.path();
   Store st(dir);
   const auto results = core::ParallelStudy(study_config(7, 20, 1, 1)).run();
   (void)st.commit(results, SegmentKind::kIngest, 0, 0, 1, 7);

@@ -1,5 +1,6 @@
 // Regenerates the committed fuzz seed corpus (tests/corpus/) from the
-// project's own encoders, so every corpus entry is a valid wire message by
+// project's own encoders (the C2 dialects through profile::wire with the
+// builtin profiles), so every corpus entry is a valid wire message by
 // construction and the corpus can be rebuilt byte-identically after an
 // encoder change:
 //
@@ -17,10 +18,8 @@
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
 #include "profile/profile.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
+#include "profile/wire.hpp"
 #include "proto/irc.hpp"
-#include "proto/mirai.hpp"
 #include "proto/p2p.hpp"
 #include "report/dataset_io.hpp"
 #include "store/segment.hpp"
@@ -28,6 +27,7 @@
 
 using namespace malnet;
 using namespace malnet::proto;
+namespace wire = malnet::profile::wire;
 
 namespace {
 
@@ -81,29 +81,33 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(dir);
 
   // --- Mirai (binary C2 protocol) ---
-  write_file(dir / "mirai_handshake.bin", mirai::encode_handshake("mips.malnet.1"));
-  write_file(dir / "mirai_keepalive.bin", mirai::encode_keepalive());
+  const auto mirai = profile::builtin_profile(Family::kMirai);
+  write_file(dir / "mirai_handshake.bin",
+             wire::encode_handshake(mirai, "mips.malnet.1"));
+  write_file(dir / "mirai_keepalive.bin", wire::encode_keepalive());
   proto::AttackCommand mirai_cmd;
   mirai_cmd.type = proto::AttackType::kSynFlood;
   mirai_cmd.target = {net::Ipv4{203, 0, 113, 9}, 443};
   mirai_cmd.duration_s = 120;
-  write_file(dir / "mirai_attack.bin", mirai::encode_attack(mirai_cmd));
+  write_file(dir / "mirai_attack.bin", wire::encode_binary_attack(mirai, mirai_cmd));
 
   // --- Gafgyt (text C2 protocol) ---
-  write_file(dir / "gafgyt_hello.txt", gafgyt::encode_hello("MIPS"));
+  const auto gafgyt = profile::builtin_profile(Family::kGafgyt);
+  write_file(dir / "gafgyt_hello.txt", wire::encode_hello(gafgyt, "MIPS"));
   proto::AttackCommand gafgyt_cmd;
   gafgyt_cmd.type = proto::AttackType::kStd;
   gafgyt_cmd.target = {net::Ipv4{198, 51, 100, 7}, 9999};
   gafgyt_cmd.duration_s = 60;
-  write_file(dir / "gafgyt_attack.txt", gafgyt::encode_attack(gafgyt_cmd));
+  write_file(dir / "gafgyt_attack.txt", wire::encode_text_attack(gafgyt, gafgyt_cmd));
 
   // --- Daddyl33t (text C2 protocol) ---
-  write_file(dir / "daddyl33t_login.txt", daddyl33t::encode_login("bot42"));
+  const auto daddy = profile::builtin_profile(Family::kDaddyl33t);
+  write_file(dir / "daddyl33t_login.txt", wire::encode_hello(daddy, "bot42"));
   proto::AttackCommand daddy_cmd;
   daddy_cmd.type = proto::AttackType::kBlacknurse;
   daddy_cmd.target = {net::Ipv4{192, 0, 2, 55}, 0};
   daddy_cmd.duration_s = 45;
-  write_file(dir / "daddyl33t_attack.txt", daddyl33t::encode_attack(daddy_cmd));
+  write_file(dir / "daddyl33t_attack.txt", wire::encode_text_attack(daddy, daddy_cmd));
 
   // --- IRC (Tsunami) ---
   write_file(dir / "irc_privmsg.txt",
@@ -127,7 +131,7 @@ int main(int argc, char** argv) {
              profile::builtin_profile(Family::kTsunami).to_pretty_json());
   write_file(dir / "profile_vpnfilter.json",
              profile::builtin_profile(Family::kVpnFilter).to_pretty_json());
-  auto variant = profile::builtin_profile(Family::kMirai);
+  auto variant = mirai;
   variant.name = "mirai-fallback";
   variant.handshake_magic = 2;
   variant.extra_fallbacks = 2;
