@@ -28,13 +28,24 @@ ProbeWorld build_probe_world(sim::Network& net, const ProbeWorldConfig& cfg) {
         net::Subnet{net::Ipv4{198, 18, static_cast<std::uint8_t>(i), 0}, 24});
   }
 
+  // Draws host numbers in [lo, hi] until one is unoccupied; the retry draws
+  // only after a collision, so collision-free seeds keep their addresses.
+  const auto free_host = [&](const net::Subnet& subnet, std::uint64_t lo,
+                             std::uint64_t hi) {
+    net::Ipv4 ip;
+    do {
+      ip = subnet.host(static_cast<std::uint32_t>(rng.uniform(lo, hi)));
+    } while (net.host_at(ip) != nullptr);
+    return ip;
+  };
+
   const auto& ports = table5_ports();
   for (int i = 0; i < cfg.c2_count; ++i) {
     C2ServerConfig sc;
     sc.family = (i % 2 == 0) ? proto::Family::kGafgyt : proto::Family::kMirai;
-    const auto& subnet =
-        world.subnets[static_cast<std::size_t>(i) % world.subnets.size()];
-    sc.ip = subnet.host(static_cast<std::uint32_t>(rng.uniform(10, 250)));
+    sc.ip = free_host(
+        world.subnets[static_cast<std::size_t>(i) % world.subnets.size()], 10,
+        250);
     sc.port = ports[static_cast<std::size_t>(i) % ports.size()];
     sc.accept_prob = cfg.accept_prob;
     sc.mean_dormancy = cfg.mean_dormancy;
@@ -51,12 +62,7 @@ ProbeWorld build_probe_world(sim::Network& net, const ProbeWorldConfig& cfg) {
   };
   for (const auto& subnet : world.subnets) {
     for (int b = 0; b < cfg.banner_hosts_per_subnet; ++b) {
-      net::Ipv4 ip;
-      bool taken = true;
-      while (taken) {
-        ip = subnet.host(static_cast<std::uint32_t>(rng.uniform(2, 253)));
-        taken = net.host_at(ip) != nullptr;
-      }
+      const auto ip = free_host(subnet, 2, 253);
       world.banners.push_back(std::make_unique<inetsim::BannerHost>(
           net, ip, ports[static_cast<std::size_t>(rng.uniform(0, ports.size() - 1))],
           rng.pick(kBanners)));

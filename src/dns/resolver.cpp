@@ -84,11 +84,4 @@ void resolve(sim::Host& host, net::Endpoint server, const std::string& name,
   host.udp_send(server, encode(make_query(id, name)), src_port);
 }
 
-void resolve(sim::Host& host, net::Endpoint server, const std::string& name,
-             ResolveCallback cb, sim::Duration timeout) {
-  ResolveOptions opts;
-  opts.timeout = timeout;
-  resolve(host, server, name, std::move(cb), std::move(opts));
-}
-
 }  // namespace malnet::dns

@@ -33,11 +33,6 @@ struct ResolveOptions {
 /// reply/timeout race can neither double-fire the callback nor touch a
 /// destroyed host.
 void resolve(sim::Host& host, net::Endpoint server, const std::string& name,
-             ResolveCallback cb, ResolveOptions opts);
-
-/// Single-shot convenience overload (the pre-chaos interface).
-void resolve(sim::Host& host, net::Endpoint server, const std::string& name,
-             ResolveCallback cb,
-             sim::Duration timeout = sim::Duration::seconds(5));
+             ResolveCallback cb, ResolveOptions opts = {});
 
 }  // namespace malnet::dns

@@ -7,7 +7,8 @@ namespace malnet::sim {
 
 EventId EventScheduler::at(SimTime t, std::function<void()> fn) {
   const EventId id = next_id_++;
-  queue_.push(Ev{std::max(t, now_), seq_++, id, std::move(fn), current_tag_});
+  settled_.push_back(false);
+  queue_.push(Ev{std::max(t, now_), id, std::move(fn), current_tag_});
   ++live_;
   return id;
 }
@@ -17,17 +18,13 @@ EventId EventScheduler::after(Duration d, std::function<void()> fn) {
 }
 
 void EventScheduler::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return;
-  if (cancelled_.insert(id).second && live_ > 0) --live_;
+  if (id == 0 || id >= next_id_ || settled_[id]) return;
+  settled_[id] = true;
+  --live_;
 }
 
 void EventScheduler::prune() {
-  while (!queue_.empty()) {
-    const auto it = cancelled_.find(queue_.top().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    queue_.pop();
-  }
+  while (!queue_.empty() && settled_[queue_.top().id]) queue_.pop();
 }
 
 bool EventScheduler::pop_one() {
@@ -36,8 +33,9 @@ bool EventScheduler::pop_one() {
   // const_cast to move the callback out; the element is popped immediately.
   Ev ev = std::move(const_cast<Ev&>(queue_.top()));
   queue_.pop();
+  settled_[ev.id] = true;
   now_ = ev.t;
-  if (live_ > 0) --live_;
+  --live_;
   ++executed_;
   // Restore the event's phase as ambient so anything it schedules inherits
   // the causality chain's attribution.

@@ -1,14 +1,14 @@
 // Discrete-event scheduler: the single source of time for the simulation.
 //
-// Events are (time, sequence, callback) triples in a min-heap. Equal-time
-// events fire in insertion order, which makes every run deterministic.
+// Events are (time, id, callback) triples in a min-heap. Ids are issued in
+// insertion order, so equal-time events fire in insertion order, which makes
+// every run deterministic.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "util/simtime.hpp"
@@ -76,12 +76,11 @@ class EventScheduler {
  private:
   struct Ev {
     SimTime t;
-    std::uint64_t seq;
     EventId id;
     std::function<void()> fn;
     PhaseTag tag;
     bool operator>(const Ev& o) const {
-      return t != o.t ? t > o.t : seq > o.seq;
+      return t != o.t ? t > o.t : id > o.id;
     }
   };
 
@@ -89,9 +88,11 @@ class EventScheduler {
   bool pop_one();  // fires the earliest event; false if queue empty
 
   std::priority_queue<Ev, std::vector<Ev>, std::greater<>> queue_;
-  std::unordered_set<EventId> cancelled_;  // tombstones
+  // One bit per issued id (ids are dense from 1; slot 0 stays unused), set
+  // once the event fires or is cancelled. A cancelled event stays in the
+  // heap until prune() reaches it.
+  std::vector<bool> settled_ = std::vector<bool>(1);
   SimTime now_{0};
-  std::uint64_t seq_ = 0;
   EventId next_id_ = 1;
   std::size_t live_ = 0;
   std::uint64_t executed_ = 0;

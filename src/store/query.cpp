@@ -66,9 +66,13 @@ constexpr std::string_view kHelp =
 
 }  // namespace
 
-QueryEngine::QueryEngine(Store& store) : store_(store), metas_(store.segments()) {
+QueryEngine::QueryEngine(Store& store)
+    : metas_(store.segments()),
+      queries_(store.registry().counter("store.queries")),
+      latency_(store.registry().histogram("store.query_latency_us",
+                                         kLatencyBounds)) {
   for (const auto& meta : metas_) {
-    merged_.merge(store_.load_index(meta));
+    merged_.merge(store.load_index(meta));
   }
 }
 
@@ -157,10 +161,8 @@ std::string QueryEngine::answer(std::string_view line) {
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
                            std::chrono::steady_clock::now() - start)
                            .count();
-  store_.registry().counter("store.queries").inc();
-  store_.registry()
-      .histogram("store.query_latency_us", kLatencyBounds)
-      .record(elapsed);
+  queries_.inc();
+  latency_.record(elapsed);
   return out.str();
 }
 

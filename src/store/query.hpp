@@ -29,7 +29,8 @@ namespace malnet::store {
 
 /// Loads and merges every segment index once, then answers queries against
 /// the merged rollup. Each answer updates store.queries and the
-/// store.query_latency_us histogram on the store's registry.
+/// store.query_latency_us histogram on the store's registry; both are
+/// registered at construction, so a snapshot lists them from then on.
 class QueryEngine {
  public:
   /// Reads header + index of every manifest segment (partial reads).
@@ -42,9 +43,11 @@ class QueryEngine {
   [[nodiscard]] const SegmentIndex& merged() const { return merged_; }
 
  private:
-  Store& store_;
   std::vector<SegmentMeta> metas_;
   SegmentIndex merged_;
+  // Looked up once: a registry lookup takes the registry's mutex.
+  obs::Counter& queries_;
+  obs::Histogram& latency_;
 };
 
 /// Reads query lines from `in` until EOF or "quit"/"exit", writing each

@@ -313,3 +313,14 @@ TEST(ProbeWorld, ShapeMatchesSection23b) {
   EXPECT_TRUE(fams.count(proto::Family::kGafgyt));
   EXPECT_TRUE(fams.count(proto::Family::kMirai));
 }
+
+TEST(ProbeWorld, BuildsForEveryStudySeed) {
+  // Campaign C2s share subnets, so their host draws can collide (study
+  // seeds 47 and 81 do). core::Pipeline seeds the probe world with
+  // study seed ^ 0x9C2.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Sim s;
+    EXPECT_NO_THROW((void)build_probe_world(s.net, ProbeWorldConfig{seed ^ 0x9C2}))
+        << "study seed " << seed;
+  }
+}

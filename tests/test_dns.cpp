@@ -149,12 +149,14 @@ TEST(Resolver, TimesOutAgainstDeadServer) {
   sim::Host client{net, net::Ipv4{10, 0, 0, 5}};
   bool called = false;
   std::optional<net::Ipv4> got = net::Ipv4{1, 1, 1, 1};
+  ResolveOptions opts;
+  opts.timeout = sim::Duration::seconds(2);
   resolve(client, {net::Ipv4{8, 8, 8, 8}, 53}, "x.y",
           [&](std::optional<net::Ipv4> ip) {
             called = true;
             got = ip;
           },
-          sim::Duration::seconds(2));
+          opts);
   sched.run();
   EXPECT_TRUE(called);
   EXPECT_FALSE(got);

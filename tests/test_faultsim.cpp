@@ -355,9 +355,10 @@ TEST(ResolverChaos, HostDestroyedBeforeTimeoutIsSafe) {
   sim::Network net{sched};
   auto client = std::make_unique<sim::Host>(net, net::Ipv4{10, 0, 0, 5});
   int calls = 0;
+  dns::ResolveOptions opts;
+  opts.timeout = sim::Duration::seconds(2);
   dns::resolve(*client, {net::Ipv4{8, 8, 8, 8}, 53}, "x.y",
-               [&](std::optional<net::Ipv4>) { ++calls; },
-               sim::Duration::seconds(2));
+               [&](std::optional<net::Ipv4>) { ++calls; }, opts);
   client.reset();  // guest torn down before its query resolves
   sched.run();     // the orphaned timer must fire as a no-op
   EXPECT_EQ(calls, 0);

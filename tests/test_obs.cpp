@@ -344,6 +344,15 @@ TEST(ObsStudy, MetricsAreByteIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST(ObsStudy, TracingAndWallProfilingLeaveMetricsUnchanged) {
+  auto cfg = small_study(3, 3);
+  const auto plain = core::ParallelStudy(cfg).run();
+  cfg.base.trace = true;
+  cfg.base.profile_wall = true;
+  const auto instrumented = core::ParallelStudy(cfg).run();
+  EXPECT_EQ(plain.metrics.to_json(), instrumented.metrics.to_json());
+}
+
 TEST(ObsStudy, MergedCountersEqualStudyResultsFields) {
   const auto results = core::ParallelStudy(small_study(3, 3)).run();
   const auto& c = results.metrics.counters;

@@ -1,8 +1,13 @@
 // sim: scheduler semantics, network delivery, host hooks, TCP machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
+#include "testkit/check.hpp"
+#include "testkit/gen.hpp"
 
 using namespace malnet;
 using namespace malnet::sim;
@@ -93,6 +98,129 @@ TEST(Scheduler, PastTimesClampToNow) {
   s.run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(s.now(), SimTime{} + Duration::seconds(10));
+}
+
+namespace {
+
+/// One step of a random scheduler session. `arg` is a time offset in ms for
+/// the scheduling ops and run_until, a target pick for cancel, and an event
+/// limit for run.
+struct SchedOp {
+  enum Kind : std::uint8_t { kAt, kAfter, kCancel, kRun, kRunUntil };
+  Kind kind = kAt;
+  std::uint32_t arg = 0;
+  bool operator==(const SchedOp&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SchedOp& op) {
+  static const char* const kNames[] = {"at", "after", "cancel", "run",
+                                       "run_until"};
+  return os << kNames[op.kind] << '(' << op.arg << ')';
+}
+
+/// Replays `ops` on an EventScheduler and on a naive model: pending events
+/// in a vector sorted by (time, issue order), fired from the front. Every
+/// event logs its issue index when it fires. After each step the firing
+/// logs, the clock, pending() and empty() must agree with the model.
+bool scheduler_matches_model(const std::vector<SchedOp>& ops) {
+  struct Pending {
+    SimTime t;
+    std::size_t index;  // issue order
+  };
+  EventScheduler s;
+  std::vector<EventId> ids;  // scheduler id of each issued event
+  std::vector<std::size_t> fired;
+  std::vector<std::size_t> want;
+  std::vector<Pending> model;
+  SimTime now{};
+
+  const auto schedule = [&](SimTime t) {
+    const std::size_t index = ids.size();
+    const SimTime at = std::max(t, now);
+    model.insert(std::upper_bound(model.begin(), model.end(), at,
+                                  [](SimTime x, const Pending& p) {
+                                    return x < p.t;
+                                  }),
+                 Pending{at, index});
+    ids.push_back(s.at(t, [&fired, index] { fired.push_back(index); }));
+  };
+  const auto fire_model = [&] {
+    now = model.front().t;
+    want.push_back(model.front().index);
+    model.erase(model.begin());
+  };
+  const auto agrees = [&] {
+    return fired == want && s.now() == now && s.pending() == model.size() &&
+           s.empty() == model.empty();
+  };
+
+  for (const auto& op : ops) {
+    const auto offset = Duration::millis(op.arg % 16);
+    switch (op.kind) {
+      case SchedOp::kAt:
+        schedule(SimTime{} + offset);  // may lie in the past: clamps to now
+        break;
+      case SchedOp::kAfter:
+        schedule(now + offset);
+        break;
+      case SchedOp::kCancel: {
+        // Picks an issued id (pending, fired or already cancelled), the null
+        // id 0, or the next id, which has not been issued yet.
+        const std::size_t pick = op.arg % (ids.size() + 2);
+        if (pick < ids.size()) {
+          std::erase_if(model,
+                        [pick](const Pending& p) { return p.index == pick; });
+          s.cancel(ids[pick]);
+        } else {
+          s.cancel(pick == ids.size() ? 0 : (ids.empty() ? 1 : ids.back() + 1));
+        }
+        break;
+      }
+      case SchedOp::kRun: {
+        const std::size_t limit = op.arg % 4;
+        const std::size_t expect = std::min(limit, model.size());
+        for (std::size_t i = 0; i < expect; ++i) fire_model();
+        if (s.run(limit) != expect) return false;
+        break;
+      }
+      case SchedOp::kRunUntil: {
+        const SimTime until = now + offset;
+        std::size_t expect = 0;
+        for (; !model.empty() && model.front().t <= until; ++expect) {
+          fire_model();
+        }
+        now = until;
+        if (s.run_until(until) != expect) return false;
+        break;
+      }
+    }
+    if (!agrees()) return false;
+  }
+  // Drain: run() executes exactly the events pending() reported.
+  const std::size_t expect = model.size();
+  while (!model.empty()) fire_model();
+  return s.run() == expect && agrees();
+}
+
+}  // namespace
+
+TEST(SchedulerProps, MatchesSortedVectorModel) {
+  const auto ops = testkit::vectors_of(
+      testkit::apply(
+          [](SchedOp::Kind kind, std::uint32_t arg) {
+            return SchedOp{kind, arg};
+          },
+          testkit::weighted<SchedOp::Kind>({{3, SchedOp::kAt},
+                                            {3, SchedOp::kAfter},
+                                            {3, SchedOp::kCancel},
+                                            {2, SchedOp::kRun},
+                                            {1, SchedOp::kRunUntil}}),
+          testkit::ints<std::uint32_t>(0, 1000)),
+      0, 48);
+  testkit::CheckConfig cfg;
+  cfg.name = "scheduler vs sorted-vector model";
+  const auto r = testkit::check(ops, scheduler_matches_model, cfg);
+  EXPECT_TRUE(r.ok) << r.summary();
 }
 
 // --- network -----------------------------------------------------------------

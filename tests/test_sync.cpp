@@ -142,6 +142,24 @@ const std::string& reference_snapshot() {
   return kSnapshot;
 }
 
+/// Total bytes of the segments in the store at `dir`: what pushing it to a
+/// peer that holds none of them ships as PUT bodies.
+std::uint64_t segment_bytes(const std::string& dir) {
+  store::Store st(dir);
+  std::uint64_t total = 0;
+  for (const auto& hash : st.segment_hashes()) {
+    total += st.read_segment_bytes(hash)->size();
+  }
+  return total;
+}
+
+// bytes_on_wire is a pure function of the two stores, so the producer
+// tests gate it exactly. Each ceiling is twice the largest value measured:
+// a whole-store push spent 182-787 bytes beyond its segment bodies across
+// the six push orders, and a re-sync that ships nothing spent 847 bytes.
+constexpr std::uint64_t kMaxPushOverheadBytes = 2 * 787;
+constexpr std::uint64_t kMaxResyncBytes = 2 * 847;
+
 std::uint64_t counter_value(const obs::MetricsSnapshot& snap,
                             const std::string& name) {
   const auto it = snap.counters.find(name);
@@ -484,6 +502,9 @@ TEST(Sync, PushPermutationsConvergeByteIdentically) {
         ASSERT_TRUE(stats.has_value()) << "push " << i << " in order " << label;
         EXPECT_EQ(stats->segments_sent, 2u);
         EXPECT_EQ(stats->verify_failures, 0u);
+        EXPECT_LE(stats->bytes_on_wire - segment_bytes(producer_dirs()[i]),
+                  kMaxPushOverheadBytes)
+            << "push " << i << " in order " << label;
       }
       EXPECT_EQ(counter_value(srv.registry.snapshot(), "sync.segments_imported"),
                 6u);
@@ -516,7 +537,7 @@ TEST(Sync, ResyncIsANoOp) {
     const auto stats = push_store(producer, srv.port());
     ASSERT_TRUE(stats.has_value());
     EXPECT_EQ(stats->segments_sent, 0u);
-    EXPECT_LT(stats->bytes_on_wire, 8u * 1024u);
+    EXPECT_LE(stats->bytes_on_wire, kMaxResyncBytes);
     EXPECT_GT(stats->bytes_saved, 0u);
   }
 }
