@@ -1,12 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <ostream>
 #include <sstream>
 
 #include "obs/json.hpp"
-#include "util/simtime.hpp"
 
 namespace malnet::obs {
 
@@ -24,7 +22,8 @@ std::string hex_id(std::uint64_t v) {
 }
 
 void Tracer::push(TraceEvent ev) {
-  if (events_.size() >= cap_) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (events_.size() >= capacity_) {
     ++dropped_;
     return;
   }
@@ -32,7 +31,7 @@ void Tracer::push(TraceEvent ev) {
 }
 
 void Tracer::instant(std::string name, std::string category, std::string args_json) {
-  if (!enabled_) return;
+  if (!enabled()) return;
   TraceEvent ev;
   ev.name = std::move(name);
   ev.category = std::move(category);
@@ -45,7 +44,7 @@ void Tracer::instant(std::string name, std::string category, std::string args_js
 
 void Tracer::complete(std::string name, std::string category,
                       std::int64_t start_sim_us, std::string args_json) {
-  if (!enabled_) return;
+  if (!enabled()) return;
   TraceEvent ev;
   ev.name = std::move(name);
   ev.category = std::move(category);
@@ -57,25 +56,37 @@ void Tracer::complete(std::string name, std::string category,
   push(std::move(ev));
 }
 
-void Tracer::wall_complete(std::string name, std::string category,
-                           std::int64_t start_wall_us, std::string args_json) {
-  if (!enabled_) return;
+void Tracer::span(std::string name, std::string category,
+                  std::int64_t start_wall_us, std::int64_t dur_us,
+                  std::uint64_t trace_id, std::uint64_t span_id,
+                  std::string args_json) {
+  if (!enabled()) return;
   TraceEvent ev;
   ev.name = std::move(name);
   ev.category = std::move(category);
   ev.phase = 'X';
   ev.clock = 'w';
-  ev.sim_us = now_sim_us();
   ev.wall_us = start_wall_us;
-  ev.dur_us = wall_now_us() - start_wall_us;
+  ev.dur_us = dur_us;
+  ev.trace_id = trace_id;
+  ev.span_id = span_id;
   ev.args_json = std::move(args_json);
   push(std::move(ev));
 }
 
+std::vector<TraceEvent> Tracer::snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_;
+}
+
 std::vector<TraceEvent> Tracer::take() {
-  std::vector<TraceEvent> out;
-  out.swap(events_);
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::exchange(events_, {});
+}
+
+std::uint64_t Tracer::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
 }
 
 std::string json_escape(std::string_view s) {
@@ -145,42 +156,6 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
   return os.str();
 }
 
-SpanRecorder::SpanRecorder(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void SpanRecorder::span(std::string name, std::string category,
-                        std::int64_t start_wall_us, std::int64_t dur_us,
-                        std::uint64_t trace_id, std::uint64_t span_id,
-                        std::string args_json) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.category = std::move(category);
-  ev.phase = 'X';
-  ev.clock = 'w';
-  ev.wall_us = start_wall_us;
-  ev.dur_us = dur_us;
-  ev.trace_id = trace_id;
-  ev.span_id = span_id;
-  ev.args_json = std::move(args_json);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.size() >= capacity_) {
-    ++dropped_;
-    return;
-  }
-  events_.push_back(std::move(ev));
-}
-
-std::vector<TraceEvent> SpanRecorder::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-std::uint64_t SpanRecorder::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
 std::optional<std::string> merge_chrome_traces(
     const std::vector<std::pair<std::string, std::string>>& node_docs) {
   std::ostringstream os;
@@ -211,26 +186,6 @@ std::optional<std::string> merge_chrome_traces(
   }
   os << "],\"displayTimeUnit\":\"ms\"}\n";
   return os.str();
-}
-
-void write_timeline(std::ostream& os, const std::vector<TraceEvent>& events) {
-  std::vector<const TraceEvent*> sorted;
-  sorted.reserve(events.size());
-  for (const auto& ev : events) sorted.push_back(&ev);
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const TraceEvent* a, const TraceEvent* b) {
-                     return a->sim_us != b->sim_us ? a->sim_us < b->sim_us
-                                                  : a->pid < b->pid;
-                   });
-  for (const auto* ev : sorted) {
-    os << util::to_string(util::SimTime{ev->sim_us}) << "  shard" << ev->pid
-       << "  [" << ev->category << "] " << ev->name;
-    if (ev->phase == 'X') {
-      os << " (" << util::to_string(util::Duration{ev->dur_us}) << ')';
-    }
-    if (!ev->args_json.empty()) os << "  {" << ev->args_json << '}';
-    os << '\n';
-  }
 }
 
 }  // namespace malnet::obs

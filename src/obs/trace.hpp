@@ -1,10 +1,10 @@
-// malnet::obs — the sim-time tracer.
+// malnet::obs — the tracer: one span recorder for every plane.
 //
-// Lightweight span/event records (sample analysed, C2 probe, live run,
-// DDoS detection, probe-campaign round, ...) stamped with both simulated
-// time and wall-clock, exportable as Chrome trace_event JSON (open in
-// chrome://tracing or https://ui.perfetto.dev) and as a plain-text
-// timeline.
+// Lightweight span/event records: sim-clock events from the study pipeline
+// (sample analysed, C2 probe, live run, DDoS detection, probe-campaign
+// round, ...) and wall-clock spans from the serve and sync planes, each
+// exportable as Chrome trace_event JSON (open in chrome://tracing or
+// https://ui.perfetto.dev).
 //
 // The Chrome export maps simulated microseconds to the "ts"/"dur" fields,
 // the shard index to "pid" and the event category to "tid", so a sharded
@@ -48,30 +48,33 @@ struct TraceEvent {
   std::string args_json;
 };
 
-/// Per-pipeline (single-threaded) event recorder. Disabled by default so
-/// untraced runs pay one branch per record call and buffer nothing.
+/// The one span recorder: a bounded, thread-safe buffer of TraceEvents.
+/// The study pipeline records sim-clock events (instant, complete); the
+/// serve and sync planes record wall-clock spans carrying trace and span
+/// ids (span), which the admin thread snapshots for /tracez. Disabled by
+/// default: a disabled tracer takes no lock and buffers nothing.
 class Tracer {
  public:
-  Tracer() = default;
+  /// Records beyond `capacity` are counted as dropped instead of buffered
+  /// (year-long traced studies and long-running servers stay bounded).
+  explicit Tracer(std::size_t capacity = 1u << 20) : capacity_(capacity) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  void set_enabled(bool on) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
+  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
+  [[nodiscard]] bool enabled() const {
+    return enabled_.load(std::memory_order_relaxed);
+  }
 
   /// The tracer reads simulated time through this hook (set by the owning
-  /// pipeline to its scheduler's clock). Unset == sim time 0.
+  /// pipeline to its scheduler's clock). Set once, before the first
+  /// record. Unset == sim time 0.
   void set_sim_clock(std::function<std::int64_t()> clock) {
     sim_clock_ = std::move(clock);
   }
   [[nodiscard]] std::int64_t now_sim_us() const {
     return sim_clock_ ? sim_clock_() : 0;
   }
-
-  /// Buffered-event cap; once hit, further events are counted as dropped
-  /// instead of buffered (year-long traced studies stay bounded).
-  void set_capacity(std::size_t cap) { cap_ = cap; }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
   /// Records an instant event at the current sim time.
   void instant(std::string name, std::string category, std::string args_json = {});
@@ -80,53 +83,26 @@ class Tracer {
   void complete(std::string name, std::string category, std::int64_t start_sim_us,
                 std::string args_json = {});
 
-  /// Records a wall-clock span from `start_wall_us` (see wall_now_us())
-  /// to now. Wall spans sit outside the determinism contract; the Chrome
-  /// export places them on the wall timeline (`clock == 'w'`).
-  void wall_complete(std::string name, std::string category,
-                     std::int64_t start_wall_us, std::string args_json = {});
-
-  [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
-  /// Moves the buffer out (used at end-of-run to hand events to results).
-  [[nodiscard]] std::vector<TraceEvent> take();
-
- private:
-  void push(TraceEvent ev);
-
-  bool enabled_ = false;
-  std::function<std::int64_t()> sim_clock_;
-  std::vector<TraceEvent> events_;
-  std::size_t cap_ = 1u << 20;
-  std::uint64_t dropped_ = 0;
-};
-
-/// Thread-safe bounded span buffer for multi-threaded servers: io threads
-/// record() wall-clock spans, the admin endpoint snapshots them. Disabled
-/// recorders take no lock and buffer nothing.
-class SpanRecorder {
- public:
-  explicit SpanRecorder(std::size_t capacity = 1u << 16);
-  SpanRecorder(const SpanRecorder&) = delete;
-  SpanRecorder& operator=(const SpanRecorder&) = delete;
-
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Records a wall-clock span; no-op while disabled, counted as dropped
-  /// once the capacity is hit.
+  /// Records a wall-clock span starting at `start_wall_us` (see
+  /// wall_now_us()). Wall spans sit outside the determinism contract; the
+  /// Chrome export places them on the wall timeline (`clock == 'w'`).
   void span(std::string name, std::string category, std::int64_t start_wall_us,
             std::int64_t dur_us, std::uint64_t trace_id, std::uint64_t span_id,
             std::string args_json = {});
 
+  /// Copy of the buffer, taken under the lock.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
+  /// Moves the buffer out (used at end-of-run to hand events to results).
+  [[nodiscard]] std::vector<TraceEvent> take();
   [[nodiscard]] std::uint64_t dropped() const;
 
  private:
+  void push(TraceEvent ev);
+
   std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
-  std::size_t capacity_;
+  std::function<std::int64_t()> sim_clock_;
+  const std::size_t capacity_;
+  mutable std::mutex mu_;  // guards events_ and dropped_
   std::vector<TraceEvent> events_;
   std::uint64_t dropped_ = 0;
 };
@@ -145,9 +121,6 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events)
 /// parse or lacks a traceEvents array.
 [[nodiscard]] std::optional<std::string> merge_chrome_traces(
     const std::vector<std::pair<std::string, std::string>>& node_docs);
-
-/// Human-readable timeline, one line per event, sorted by (sim time, pid).
-void write_timeline(std::ostream& os, const std::vector<TraceEvent>& events);
 
 /// JSON string escaping (shared with the exporters; exposed for reuse).
 [[nodiscard]] std::string json_escape(std::string_view s);

@@ -15,44 +15,30 @@ bool Client::connect(const std::string& host, std::uint16_t port,
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
       backoff *= 2;
     }
-    auto fd = util::tcp_connect(host, port, opts.connect_timeout_ms);
-    if (fd.valid()) {
-      fd_ = std::move(fd);
-      reader_ = FrameReader();
-      return true;
-    }
+    fd_ = util::tcp_connect(host, port, opts.connect_timeout_ms);
+    if (fd_.valid()) return true;
   }
   return false;
 }
 
 void Client::close() {
   fd_.reset();
-  reader_ = FrameReader();
+  reader_ = FrameReader(max_frame_body_);
 }
 
-std::uint64_t Client::send(std::string_view query) {
-  if (!fd_.valid()) return 0;
-  const std::uint64_t id = next_id_++;
-  // Span ids derive from the request id — unique per request, and the
-  // server echoes them back in its spans for client/server correlation.
-  last_span_id_ = trace_id_ == 0 ? 0 : id;
-  const auto frame =
-      encode_request({id, std::string(query), trace_id_, last_span_id_});
+bool Client::send_frame(util::BytesView frame) {
+  if (!fd_.valid()) return false;
   if (!util::send_all(fd_.get(), frame, opts_.io_timeout_ms)) {
     close();
-    return 0;
+    return false;
   }
-  return id;
+  return true;
 }
 
-std::optional<Response> Client::recv() {
+std::optional<util::Bytes> Client::recv_body() {
   if (!fd_.valid()) return std::nullopt;
   for (;;) {
-    if (auto body = reader_.next()) {
-      auto resp = decode_response(*body);
-      if (!resp) close();  // malformed frame: the stream is unusable
-      return resp;
-    }
+    if (auto body = reader_.next()) return body;
     if (reader_.error()) {
       close();
       return std::nullopt;
@@ -66,6 +52,25 @@ std::optional<Response> Client::recv() {
     }
     reader_.feed({buf, static_cast<std::size_t>(n)});
   }
+}
+
+std::uint64_t Client::send(std::string_view query) {
+  if (!fd_.valid()) return 0;
+  const std::uint64_t id = next_id_++;
+  // Span ids derive from the request id — unique per request, and the
+  // server echoes them back in its spans for client/server correlation.
+  last_span_id_ = trace_id_ == 0 ? 0 : id;
+  const auto frame =
+      encode_request({id, std::string(query), trace_id_, last_span_id_});
+  return send_frame(util::BytesView{frame}) ? id : 0;
+}
+
+std::optional<Response> Client::recv() {
+  const auto body = recv_body();
+  if (!body) return std::nullopt;
+  auto resp = decode_response(util::BytesView{*body});
+  if (!resp) close();  // malformed frame: the stream is unusable
+  return resp;
 }
 
 std::optional<std::string> Client::query(std::string_view q) {

@@ -7,11 +7,13 @@
 // surfaced. Every read and write after that is poll()-bounded by
 // `io_timeout_ms` — a hung server costs the caller a timeout, never a hang.
 //
-// Two usage shapes:
+// Three usage shapes:
 //   * query(text)          — send one request, wait for its answer
 //     (request/response, what `malnetctl query --connect` uses);
 //   * send(text) ... recv()— explicit pipelining: write any number of
-//     requests, then collect responses in order (the bench load generator).
+//     requests, then collect responses in order (the bench load generator);
+//   * send_frame(bytes) ... recv_body() — raw frames of another protocol
+//     on the same transport (sync::SyncClient).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,10 @@ struct ClientOptions {
 
 class Client {
  public:
-  Client() = default;
+  /// `max_frame_body` bounds each received frame body; a larger length
+  /// prefix fails the read.
+  explicit Client(std::size_t max_frame_body = kMaxFrameBody)
+      : max_frame_body_(max_frame_body), reader_(max_frame_body) {}
 
   /// Connects (with retry/backoff per `opts`). False when every attempt
   /// failed; the client stays unconnected and is safe to reuse.
@@ -45,6 +50,15 @@ class Client {
 
   [[nodiscard]] bool connected() const { return fd_.valid(); }
   void close();
+
+  /// Writes one complete frame (length prefix included). False, with the
+  /// connection closed, on I/O failure.
+  [[nodiscard]] bool send_frame(util::BytesView frame);
+
+  /// Next frame body in arrival order. Nullopt on timeout, peer close, or
+  /// an oversized length prefix (the connection is closed in every failure
+  /// case).
+  [[nodiscard]] std::optional<util::Bytes> recv_body();
 
   /// Writes one request frame; returns its id (0 on I/O failure — ids
   /// start at 1). Does not wait for the answer: callers may pipeline.
@@ -65,6 +79,7 @@ class Client {
   [[nodiscard]] std::uint64_t last_span_id() const { return last_span_id_; }
 
  private:
+  std::size_t max_frame_body_;
   util::Fd fd_;
   ClientOptions opts_;
   FrameReader reader_;

@@ -85,7 +85,7 @@ struct ServeConfig {
   std::size_t slow_log_capacity = 32;
   /// When set (and enabled), traced requests (MQR2) record a wall-clock
   /// server span here — the /tracez side of cross-node tracing.
-  obs::SpanRecorder* spans = nullptr;
+  obs::Tracer* spans = nullptr;
 };
 
 /// One row of the live connection table (/statusz).

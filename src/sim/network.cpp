@@ -207,23 +207,8 @@ void Host::handle_tcp(const net::Packet& p) {
   TcpConn* conn = find_conn(key);
 
   if (conn == nullptr) {
-    if (p.flags.rst) return;  // RST to nothing: ignore
-    if (p.flags.syn && !p.flags.ack) {
-      const auto lit = tcp_listeners_.find(p.dst_port);
-      if (lit == tcp_listeners_.end()) {
-        // Closed port: refuse with RST.
-        net::Packet rst;
-        rst.src = addr_;
-        rst.dst = p.src;
-        rst.proto = net::Protocol::kTcp;
-        rst.src_port = p.dst_port;
-        rst.dst_port = p.src_port;
-        rst.flags.rst = true;
-        rst.flags.ack = true;
-        rst.ack_num = p.seq + 1;
-        send_out(std::move(rst));
-        return;
-      }
+    if (p.flags.rst) return;  // RST to nothing: ignore, so RSTs never bounce
+    if (p.flags.syn && !p.flags.ack && tcp_listening(p.dst_port)) {
       // Passive open.
       const std::uint32_t iss = net_.rng()();
       auto nc = std::unique_ptr<TcpConn>(new TcpConn(
@@ -235,7 +220,26 @@ void Host::handle_tcp(const net::Packet& p) {
                               .psh = false});
       return;
     }
-    return;  // stray non-SYN segment: ignore
+    // No connection to deliver to: a SYN to a closed port, or a stray
+    // segment such as a SYN-ACK that arrives after its connect timed out.
+    // Answer with RST (RFC 793 §3.4), which also frees the peer's
+    // half-open connection.
+    net::Packet rst;
+    rst.src = addr_;
+    rst.dst = p.src;
+    rst.proto = net::Protocol::kTcp;
+    rst.src_port = p.dst_port;
+    rst.dst_port = p.src_port;
+    rst.flags.rst = true;
+    if (p.flags.ack) {
+      rst.seq = p.ack_num;
+    } else {
+      rst.flags.ack = true;
+      rst.ack_num = p.seq + static_cast<std::uint32_t>(p.payload.size()) +
+                    (p.flags.syn ? 1 : 0) + (p.flags.fin ? 1 : 0);
+    }
+    send_out(std::move(rst));
+    return;
   }
 
   const TcpConn::State before = conn->state();

@@ -2,7 +2,10 @@
 //
 // Models what a network-level malware study observes: the three-way
 // handshake (the "handshaker" trick of §2.4 hinges on completing it),
-// PSH/ACK data segments, FIN teardown and RST refusal. Retransmission and
+// PSH/ACK data segments, FIN teardown and RST refusal. A host answers RST
+// to a SYN for a closed port and to any other segment for a connection it
+// does not have, such as a SYN-ACK that arrives after its connect timed
+// out (RFC 793 §3.4); a RST to nothing is ignored. Retransmission and
 // windowing are out of scope; the default network delivers in order and
 // does not drop packets (server elusiveness is modelled at the application
 // layer, where the paper observed it). Under fault injection

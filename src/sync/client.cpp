@@ -1,8 +1,6 @@
 #include "sync/client.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "store/segment.hpp"
 #include "util/log.hpp"
@@ -40,34 +38,9 @@ std::uint64_t sum_sizes(const std::vector<std::string>& hashes,
 
 }  // namespace
 
-bool SyncClient::connect(const std::string& host, std::uint16_t port,
-                         serve::ClientOptions opts) {
-  close();
-  opts_ = opts;
-  int backoff = opts.backoff_ms;
-  for (int attempt = 0; attempt <= opts.max_retries; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      backoff *= 2;
-    }
-    auto fd = util::tcp_connect(host, port, opts.connect_timeout_ms);
-    if (fd.valid()) {
-      fd_ = std::move(fd);
-      reader_ = serve::FrameReader(kMaxSyncFrameBody);
-      return true;
-    }
-  }
-  return false;
-}
-
-void SyncClient::close() {
-  fd_.reset();
-  reader_ = serve::FrameReader(kMaxSyncFrameBody);
-}
-
 std::optional<util::Bytes> SyncClient::rpc(SyncOp op, util::BytesView payload,
                                            SyncStats& stats) {
-  if (!fd_.valid()) return std::nullopt;
+  if (!conn_.connected()) return std::nullopt;
   const std::uint64_t id = next_id_++;
   // Span ids derive from the request id; the server echoes them into its
   // own spans, so client and server sides of one rpc correlate by id.
@@ -76,51 +49,24 @@ std::optional<util::Bytes> SyncClient::rpc(SyncOp op, util::BytesView payload,
   const auto frame = encode_sync_request(
       {id, op, util::Bytes(payload.begin(), payload.end()), trace_id_,
        span_id});
-  if (!util::send_all(fd_.get(), frame, opts_.io_timeout_ms)) {
-    close();
-    return std::nullopt;
-  }
+  if (!conn_.send_frame(util::BytesView{frame})) return std::nullopt;
   ++stats.rounds;
   stats.bytes_on_wire += frame.size();
-  const auto record_span = [&](std::size_t resp_bytes) {
-    if (trace_id_ == 0) return;
-    obs::TraceEvent ev;
-    ev.name = std::string("sync:") + sync_op_name(op);
-    ev.category = "sync";
-    ev.phase = 'X';
-    ev.clock = 'w';
-    ev.wall_us = wall0;
-    ev.dur_us = obs::wall_now_us() - wall0;
-    ev.trace_id = trace_id_;
-    ev.span_id = span_id;
-    ev.args_json = "\"bytes\":" + std::to_string(resp_bytes);
-    trace_events_.push_back(std::move(ev));
-  };
-  for (;;) {
-    if (auto body = reader_.next()) {
-      stats.bytes_on_wire += serve::kFramePrefixSize + body->size();
-      auto resp = decode_sync_response(util::BytesView{*body});
-      if (!resp || resp->id != id || resp->op != op ||
-          resp->status != SyncStatus::kOk) {
-        close();
-        return std::nullopt;
-      }
-      record_span(resp->payload.size());
-      return std::move(resp->payload);
-    }
-    if (reader_.error()) {
-      close();
-      return std::nullopt;
-    }
-    std::uint8_t buf[64 * 1024];
-    const int n =
-        util::recv_some(fd_.get(), buf, sizeof(buf), opts_.io_timeout_ms);
-    if (n <= 0) {  // timeout, error, or peer close
-      close();
-      return std::nullopt;
-    }
-    reader_.feed({buf, static_cast<std::size_t>(n)});
+  const auto body = conn_.recv_body();
+  if (!body) return std::nullopt;
+  stats.bytes_on_wire += serve::kFramePrefixSize + body->size();
+  auto resp = decode_sync_response(util::BytesView{*body});
+  if (!resp || resp->id != id || resp->op != op ||
+      resp->status != SyncStatus::kOk) {
+    conn_.close();
+    return std::nullopt;
   }
+  if (tracer_.enabled()) {
+    tracer_.span(std::string("sync:") + sync_op_name(op), "sync", wall0,
+                 obs::wall_now_us() - wall0, trace_id_, span_id,
+                 "\"bytes\":" + std::to_string(resp->payload.size()));
+  }
+  return std::move(resp->payload);
 }
 
 std::optional<store::TreeNodeSummary> SyncClient::fetch_node(
@@ -135,7 +81,7 @@ std::optional<store::TreeNodeSummary> SyncClient::fetch_node(
   }
   if (!payload) return std::nullopt;
   auto node = decode_node_summary(util::BytesView{*payload});
-  if (!node) close();
+  if (!node) conn_.close();
   return node;
 }
 
@@ -146,7 +92,7 @@ std::optional<std::vector<std::string>> SyncClient::fetch_list(
   const auto payload = rpc(SyncOp::kList, util::BytesView{w.bytes()}, stats);
   if (!payload) return std::nullopt;
   auto list = decode_hash_list(util::BytesView{*payload});
-  if (!list) close();
+  if (!list) conn_.close();
   return list;
 }
 
@@ -298,7 +244,7 @@ bool SyncClient::do_push(SyncStats& stats) {
     if (!bytes) return false;  // compacted away mid-sync: retry from scratch
     const auto resp = rpc(SyncOp::kPut, util::BytesView{*bytes}, stats);
     if (!resp || resp->size() != 1) {
-      close();
+      conn_.close();
       return false;
     }
     ++stats.segments_sent;
@@ -335,7 +281,7 @@ bool SyncClient::do_pull(SyncStats& stats) {
       util::log_line(util::LogLevel::kWarn, "sync",
                      "pull: segment " + hash.substr(0, 16) +
                          "… failed content verification; aborting");
-      close();
+      conn_.close();
       return false;
     }
     try {
@@ -343,7 +289,7 @@ bool SyncClient::do_pull(SyncStats& stats) {
     } catch (const std::exception& e) {
       util::log_line(util::LogLevel::kWarn, "sync",
                      std::string("pull: import rejected: ") + e.what());
-      close();
+      conn_.close();
       return false;
     }
     ++stats.segments_received;

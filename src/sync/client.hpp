@@ -29,7 +29,6 @@
 #include "store/merkle.hpp"
 #include "store/store.hpp"
 #include "sync/wire.hpp"
-#include "util/socket.hpp"
 
 namespace malnet::sync {
 
@@ -50,12 +49,13 @@ class SyncClient {
   explicit SyncClient(store::Store& store, obs::Registry* registry = nullptr)
       : store_(store), registry_(registry) {}
 
-  /// Connects (with retry/backoff per `opts`, same discipline as
-  /// serve::Client). False when every attempt failed.
+  /// Connects through serve::Client (retry/backoff per `opts`). False when
+  /// every attempt failed.
   [[nodiscard]] bool connect(const std::string& host, std::uint16_t port,
-                             serve::ClientOptions opts = {});
-  [[nodiscard]] bool connected() const { return fd_.valid(); }
-  void close();
+                             serve::ClientOptions opts = {}) {
+    return conn_.connect(host, port, opts);
+  }
+  [[nodiscard]] bool connected() const { return conn_.connected(); }
 
   /// Transfers every local segment the remote lacks. Nullopt on any I/O,
   /// protocol, or verification failure — the remote manifest is left valid
@@ -70,21 +70,25 @@ class SyncClient {
   /// Turns on cross-node tracing: every subsequent request carries
   /// `trace_id` (MSY2 framing) and records a client-side wall-clock span
   /// per round trip into trace_events(). 0 disables.
-  void enable_tracing(std::uint64_t trace_id) { trace_id_ = trace_id; }
+  void enable_tracing(std::uint64_t trace_id) {
+    trace_id_ = trace_id;
+    tracer_.set_enabled(trace_id != 0);
+  }
   [[nodiscard]] std::uint64_t trace_id() const { return trace_id_; }
-  /// Client spans collected while tracing (one per rpc), ready for
-  /// obs::write_chrome_trace / obs::merge_chrome_traces.
-  [[nodiscard]] const std::vector<obs::TraceEvent>& trace_events() const {
-    return trace_events_;
+  /// Snapshot of the client spans recorded while tracing (one per rpc),
+  /// ready for obs::write_chrome_trace / obs::merge_chrome_traces.
+  [[nodiscard]] std::vector<obs::TraceEvent> trace_events() const {
+    return tracer_.snapshot();
   }
 
  private:
   using SizeMap = std::unordered_map<std::string, std::uint64_t>;
 
-  /// One round trip. Nullopt (and close()) on I/O failure, a malformed
-  /// frame, an id/op mismatch, or a status-1 reply: refinement requests
-  /// are never invalid, so an error reply means the peers disagree about
-  /// the protocol and the attempt must be abandoned, not patched around.
+  /// One round trip. Nullopt (and a closed connection) on I/O failure, a
+  /// malformed frame, an id/op mismatch, or a status-1 reply: refinement
+  /// requests are never invalid, so an error reply means the peers
+  /// disagree about the protocol and the attempt must be abandoned, not
+  /// patched around.
   [[nodiscard]] std::optional<util::Bytes> rpc(SyncOp op,
                                                util::BytesView payload,
                                                SyncStats& stats);
@@ -118,12 +122,10 @@ class SyncClient {
 
   store::Store& store_;
   obs::Registry* registry_ = nullptr;
-  util::Fd fd_;
-  serve::ClientOptions opts_;
-  serve::FrameReader reader_{kMaxSyncFrameBody};
+  serve::Client conn_{kMaxSyncFrameBody};
   std::uint64_t next_id_ = 1;
   std::uint64_t trace_id_ = 0;
-  std::vector<obs::TraceEvent> trace_events_;
+  obs::Tracer tracer_;
 };
 
 }  // namespace malnet::sync

@@ -38,7 +38,7 @@ class SessionHandler {
   [[nodiscard]] const obs::SlowLog& slow_log() const { return slow_; }
 
   /// Traced requests (MSY2) record wall-clock server spans here when set.
-  void set_span_recorder(obs::SpanRecorder* spans) { spans_ = spans; }
+  void set_tracer(obs::Tracer* spans) { spans_ = spans; }
 
   /// Answers one MSY1/MSY2 frame body with a complete MSP1 response frame
   /// (length prefix included). Nullopt = not a decodable sync request;
@@ -57,7 +57,7 @@ class SessionHandler {
   obs::Counter* segments_imported_;
   obs::Counter* puts_rejected_;
   obs::SlowLog slow_;
-  obs::SpanRecorder* spans_ = nullptr;
+  obs::Tracer* spans_ = nullptr;
 };
 
 }  // namespace malnet::sync

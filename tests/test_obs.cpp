@@ -1,12 +1,15 @@
-// malnet::obs — metrics registry, sim-time tracer, per-phase profiler and
+// malnet::obs — metrics registry, the tracer (sim- and wall-clock spans),
 // the minimal JSON parser, plus the end-to-end determinism contract: a
 // sharded study's merged metrics snapshot is a pure function of
 // (config, shards), byte-identical for any worker count, and its headline
 // counters equal the StudyResults fields they shadow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/parallel_study.hpp"
@@ -152,7 +155,8 @@ TEST(Trace, DisabledTracerBuffersNothing) {
   Tracer t;
   t.instant("x", "cat");
   t.complete("y", "cat", 0);
-  EXPECT_TRUE(t.events().empty());
+  t.span("z", "serve", 0, 1, 1, 1);
+  EXPECT_TRUE(t.snapshot().empty());
   EXPECT_EQ(t.dropped(), 0u);
 }
 
@@ -166,21 +170,28 @@ TEST(Trace, RecordsAgainstTheSimClock) {
   sim_now = 5'000;
   t.complete("run", "sandbox", 1'000);
 
-  ASSERT_EQ(t.events().size(), 2u);
-  EXPECT_EQ(t.events()[0].phase, 'i');
-  EXPECT_EQ(t.events()[0].sim_us, 1'000);
-  EXPECT_EQ(t.events()[1].phase, 'X');
-  EXPECT_EQ(t.events()[1].sim_us, 1'000);
-  EXPECT_EQ(t.events()[1].dur_us, 4'000);
+  const auto events = t.snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].phase, 'i');
+  EXPECT_EQ(events[0].sim_us, 1'000);
+  EXPECT_EQ(events[1].phase, 'X');
+  EXPECT_EQ(events[1].sim_us, 1'000);
+  EXPECT_EQ(events[1].dur_us, 4'000);
 }
 
 TEST(Trace, CapacityBoundsTheBuffer) {
-  Tracer t;
+  // Sim-clock and wall-clock records count against the same bound.
+  Tracer t(3);
   t.set_enabled(true);
-  t.set_capacity(2);
-  for (int i = 0; i < 5; ++i) t.instant("e", "cat");
-  EXPECT_EQ(t.events().size(), 2u);
-  EXPECT_EQ(t.dropped(), 3u);
+  t.instant("e", "cat");
+  for (int i = 0; i < 5; ++i) t.span("s", "serve", i, 1, 7, 1);
+  t.complete("c", "cat", 0);
+  const auto events = t.snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(t.dropped(), 4u);
+  EXPECT_EQ(events[0].clock, 's');
+  EXPECT_EQ(events[1].clock, 'w');
+  EXPECT_EQ(events[1].trace_id, 7u);
 }
 
 TEST(Trace, ChromeExportRoundTripsThroughTheJsonParser) {
@@ -193,7 +204,7 @@ TEST(Trace, ChromeExportRoundTripsThroughTheJsonParser) {
   t.complete("span", "sandbox", 42);
 
   std::ostringstream os;
-  write_chrome_trace(os, t.events());
+  write_chrome_trace(os, t.snapshot());
   const auto doc = json::parse(os.str());
   ASSERT_TRUE(doc.has_value()) << os.str();
   const json::Value* events = doc->find("traceEvents");
@@ -211,10 +222,6 @@ TEST(Trace, ChromeExportRoundTripsThroughTheJsonParser) {
   EXPECT_EQ(span.find("ph")->str, "X");
   EXPECT_EQ(span.find("dur")->number, 57.0);
   EXPECT_EQ(span.find("cat")->str, "sandbox");
-
-  std::ostringstream timeline;
-  write_timeline(timeline, t.events());
-  EXPECT_NE(timeline.str().find("span"), std::string::npos);
 }
 
 // --- json parser -------------------------------------------------------------
@@ -632,32 +639,58 @@ TEST(Json, WriteRoundTripsDeterministically) {
 
 // --- wall-clock spans and cross-node trace merging ---------------------------
 
-TEST(Trace, WallCompleteRecordsWallSpan) {
+TEST(Trace, SpanRecordsWallClockSpanWithIds) {
   Tracer tracer;
   tracer.set_enabled(true);
   const auto start = wall_now_us();
-  tracer.wall_complete("op", "serve", start - 1'000, "\"bytes\":7");
-  ASSERT_EQ(tracer.events().size(), 1u);
-  const auto& ev = tracer.events()[0];
+  tracer.span("op", "serve", start - 1'000, 1'000, 0xBEEF, 42, "\"bytes\":7");
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  const auto& ev = events[0];
   EXPECT_EQ(ev.phase, 'X');
   EXPECT_EQ(ev.clock, 'w');
-  EXPECT_GE(ev.dur_us, 1'000);
+  EXPECT_EQ(ev.dur_us, 1'000);
   EXPECT_EQ(ev.wall_us, start - 1'000);
+  EXPECT_EQ(ev.trace_id, 0xBEEFu);
+  EXPECT_EQ(ev.span_id, 42u);
+  EXPECT_EQ(ev.args_json, "\"bytes\":7");
 }
 
-TEST(Trace, SpanRecorderIsDisabledByDefaultAndBounded) {
-  SpanRecorder rec(2);
-  rec.span("a", "serve", 0, 1, 1, 1);
-  EXPECT_TRUE(rec.snapshot().empty());  // disabled: no-op
-  rec.set_enabled(true);
-  for (int i = 0; i < 5; ++i) rec.span("a", "serve", i, 1, 7, 1);
-  EXPECT_EQ(rec.snapshot().size(), 2u);
-  EXPECT_EQ(rec.dropped(), 3u);
-  EXPECT_EQ(rec.snapshot()[0].trace_id, 7u);
+TEST(Trace, ConcurrentSpansAreBoundedAndCounted) {
+  constexpr int kWriters = 4;
+  constexpr int kSpansEach = 1000;
+  constexpr std::size_t kCapacity = 2500;
+  Tracer tracer(kCapacity);
+  tracer.set_enabled(true);
+  std::atomic<bool> done{false};
+  std::vector<std::size_t> sizes;  // snapshot sizes seen while writers run
+  std::thread reader([&] {
+    do {
+      sizes.push_back(tracer.snapshot().size());
+    } while (!done.load());
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&tracer, w] {
+      for (int i = 0; i < kSpansEach; ++i) {
+        tracer.span("rpc", "serve", i, 1, static_cast<std::uint64_t>(w) + 1,
+                    static_cast<std::uint64_t>(i) + 1);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true);
+  reader.join();
+
+  EXPECT_EQ(tracer.snapshot().size(), kCapacity);
+  EXPECT_EQ(tracer.dropped(), kWriters * kSpansEach - kCapacity);
+  ASSERT_FALSE(sizes.empty());
+  EXPECT_TRUE(std::is_sorted(sizes.begin(), sizes.end()));
+  EXPECT_LE(sizes.back(), kCapacity);
 }
 
 TEST(Trace, MergeChromeTracesStampsPidsAndProcessNames) {
-  SpanRecorder client(16), server(16);
+  Tracer client(16), server(16);
   client.set_enabled(true);
   server.set_enabled(true);
   client.span("sync:put", "sync", 1'000, 500, 0xBEEF, 1, "\"bytes\":9");

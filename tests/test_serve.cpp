@@ -416,7 +416,7 @@ TEST(Wire, TracedRequestRoundTripAndBackwardCompat) {
 }
 
 TEST(Serve, TracedRequestsProduceServerSpans) {
-  obs::SpanRecorder spans;
+  obs::Tracer spans;
   spans.set_enabled(true);
   serve::ServeConfig cfg;
   cfg.spans = &spans;

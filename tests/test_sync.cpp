@@ -980,10 +980,10 @@ TEST(SyncWire, TracedRequestRoundTripAndBackwardCompat) {
 TEST(Sync, TracedPushSharesOneTraceIdAcrossBothNodes) {
   const testkit::ScratchDir scratch("sync_trace_replica");
   const auto& replica = scratch.path();
-  obs::SpanRecorder server_spans;
+  obs::Tracer server_spans;
   server_spans.set_enabled(true);
   SyncServer srv(replica);
-  srv.handler->set_span_recorder(&server_spans);
+  srv.handler->set_tracer(&server_spans);
 
   store::Store producer(producer_dirs()[0]);
   sync::SyncClient client(producer);

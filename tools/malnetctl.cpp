@@ -529,10 +529,11 @@ int cmd_serve(const Args& args) {
 
   obs::Registry registry;
   // Admin-plane state has to outlive the server: cfg.spans is read by the
-  // I/O threads, and the ring/handlers by the admin thread.
-  std::optional<obs::SpanRecorder> spans;
+  // I/O threads, and the ring/handlers by the admin thread. The tracer
+  // keeps at most 65536 spans, which bounds a /tracez body.
+  std::optional<obs::Tracer> spans;
   if (args.has("admin")) {
-    spans.emplace();
+    spans.emplace(1u << 16);
     spans->set_enabled(true);
     cfg.spans = &*spans;
   }
@@ -544,7 +545,7 @@ int cmd_serve(const Args& args) {
     sync_handler.emplace(st, registry);
     sync_handler->configure_slow_log(cfg.slow_log_capacity,
                                      cfg.slow_threshold_us);
-    if (cfg.spans != nullptr) sync_handler->set_span_recorder(cfg.spans);
+    if (cfg.spans != nullptr) sync_handler->set_tracer(cfg.spans);
     cfg.aux_handler = [&sync_handler](util::BytesView body,
                                       const serve::AuxContext& ctx) {
       return sync_handler->handle(body, ctx.peer);
