@@ -1,5 +1,6 @@
 #include "sim/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -88,13 +89,15 @@ void Network::transmit(net::Packet p) {
 
 void Network::schedule_delivery(SimTime at, net::Packet p) {
   const net::Ipv4 dst_addr = p.dst;
-  sched_.at(at, [this, dst_addr, pkt = std::move(p)]() mutable {
+  auto deliver = [this, dst_addr, pkt = std::move(p)]() mutable {
     // Re-resolve: the host may have detached while the packet was in flight.
     Host* h = host_at(dst_addr);
     if (h == nullptr) return;
     ++rx_count_;
     h->deliver(pkt);
-  });
+  };
+  static_assert(Callback::stores_inline<decltype(deliver)>);
+  sched_.at(at, std::move(deliver));
 }
 
 // ---------------------------------------------------------------------------
@@ -109,15 +112,12 @@ Host::Host(Network& net, net::Ipv4 addr, std::string name)
 Host::~Host() { net_.detach(*this); }
 
 net::Port Host::alloc_ephemeral_port() {
-  for (int attempts = 0; attempts < 16384; ++attempts) {
+  for (std::size_t attempts = 0; attempts < kEphemeralPorts; ++attempts) {
     const net::Port p = next_ephemeral_;
-    next_ephemeral_ = (next_ephemeral_ >= 65535) ? 49152 : next_ephemeral_ + 1;
+    next_ephemeral_ = (next_ephemeral_ >= 65535) ? kEphemeralFirst : next_ephemeral_ + 1;
     // Skip ports with live connection state or bindings.
-    bool used = udp_handlers_.count(p) > 0 || tcp_listeners_.count(p) > 0;
-    if (!used) {
-      const auto lo = conns_.lower_bound({p, net::Endpoint{}});
-      used = lo != conns_.end() && lo->first.first == p;
-    }
+    const bool used = udp_handlers_.count(p) > 0 || tcp_listeners_.count(p) > 0 ||
+                      (ephemeral_conns_ && ephemeral_conns_[p - kEphemeralFirst] > 0);
     if (!used) return p;
   }
   throw std::runtime_error("Host: ephemeral port space exhausted");
@@ -151,41 +151,46 @@ void Host::tcp_connect(net::Endpoint remote, ConnectHandler cb, Duration timeout
   const net::Port local_port = alloc_ephemeral_port();
   const ConnKey key{local_port, remote};
   const std::uint32_t iss = net_.rng()();
-  auto conn = std::unique_ptr<TcpConn>(
-      new TcpConn(*this, {addr_, local_port}, remote, /*inbound=*/false, iss));
-  TcpConn* raw = conn.get();
-  conns_.emplace(key, std::move(conn));
-
-  PendingConnect pending;
-  pending.cb = std::move(cb);
-  pending.timeout_event = scheduler().after(
-      timeout, [this, key, w = std::weak_ptr<const bool>(lifetime_)]() {
+  TcpConn& conn = add_conn(key, std::unique_ptr<TcpConn>(new TcpConn(
+                                    *this, {addr_, local_port}, remote,
+                                    /*inbound=*/false, iss)));
+  conn.on_connect_ = std::move(cb);
+  auto time_out = [this, key, w = std::weak_ptr<const bool>(lifetime_)]() {
     if (w.expired()) return;
-    const auto it = pending_connects_.find(key);
-    if (it == pending_connects_.end()) return;
-    ConnectHandler handler = std::move(it->second.cb);
-    pending_connects_.erase(it);
-    conns_.erase(key);  // abandon the half-open connection silently
+    const auto it = conns_.find(key);
+    if (it == conns_.end() || !it->second->on_connect_) return;
+    ConnectHandler handler = std::move(it->second->on_connect_);
+    erase_conn(it);  // abandon the half-open connection silently
     handler(ConnectOutcome::kTimeout, nullptr);
-  });
-  pending_connects_.emplace(key, std::move(pending));
+  };
+  static_assert(Callback::stores_inline<decltype(time_out)>);
+  conn.connect_timeout_ = scheduler().after(timeout, std::move(time_out));
 
-  raw->emit(net::TcpFlags{.syn = true, .ack = false, .fin = false, .rst = false,
+  conn.emit(net::TcpFlags{.syn = true, .ack = false, .fin = false, .rst = false,
                           .psh = false});
 }
 
 void Host::close_all_connections() {
-  for (auto& [key, conn] : conns_) {
+  for (TcpConn* conn : conns_by_key()) {
     if (conn->established()) conn->close();
   }
 }
 
 void Host::abort_all_connections() {
-  // reset() only schedules the map erase, so iterating while resetting is
-  // safe.
-  for (auto& [key, conn] : conns_) {
+  // reset() only schedules the table erase, so every pointer stays valid.
+  for (TcpConn* conn : conns_by_key()) {
     if (conn->state() != TcpConn::State::kClosed) conn->reset();
   }
+}
+
+std::size_t Host::ConnKeyHash::operator()(const ConnKey& k) const noexcept {
+  std::uint64_t x = (std::uint64_t{k.first} << 48) |
+                    (std::uint64_t{k.second.ip.value} << 16) | k.second.port;
+  // MurmurHash3's 64-bit finaliser.
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  return static_cast<std::size_t>(x);
 }
 
 TcpConn* Host::find_conn(const ConnKey& key) {
@@ -193,11 +198,47 @@ TcpConn* Host::find_conn(const ConnKey& key) {
   return it == conns_.end() ? nullptr : it->second.get();
 }
 
+TcpConn& Host::add_conn(const ConnKey& key, std::unique_ptr<TcpConn> conn) {
+  TcpConn& ref = *conn;
+  conns_.emplace(key, std::move(conn));
+  if (key.first >= kEphemeralFirst) {
+    if (!ephemeral_conns_) {
+      ephemeral_conns_ = std::make_unique<std::uint16_t[]>(kEphemeralPorts);
+    }
+    std::uint16_t& held = ephemeral_conns_[key.first - kEphemeralFirst];
+    if (held == UINT16_MAX) {
+      throw std::length_error("Host: too many connections on one port");
+    }
+    ++held;
+  }
+  return ref;
+}
+
+void Host::erase_conn(ConnTable::iterator it) {
+  const net::Port port = it->first.first;
+  if (port >= kEphemeralFirst) --ephemeral_conns_[port - kEphemeralFirst];
+  conns_.erase(it);
+}
+
+std::vector<TcpConn*> Host::conns_by_key() const {
+  std::vector<TcpConn*> out;
+  out.reserve(conns_.size());
+  for (const auto& entry : conns_) out.push_back(entry.second.get());
+  // A connection's key is its (local port, remote).
+  std::sort(out.begin(), out.end(), [](const TcpConn* a, const TcpConn* b) {
+    return ConnKey{a->local().port, a->remote()} < ConnKey{b->local().port, b->remote()};
+  });
+  return out;
+}
+
 void Host::schedule_conn_erase(const ConnKey& key) {
   schedule_safe(Duration::seconds(60), [this, key]() {
     const auto it = conns_.find(key);
-    if (it != conns_.end() && it->second->state() == TcpConn::State::kClosed) {
-      conns_.erase(it);
+    // A connection reset while its connect is pending is left for the
+    // connect's timeout, which erases it and fires the handler.
+    if (it != conns_.end() && it->second->state() == TcpConn::State::kClosed &&
+        !it->second->on_connect_) {
+      erase_conn(it);
     }
   });
 }
@@ -211,13 +252,12 @@ void Host::handle_tcp(const net::Packet& p) {
     if (p.flags.syn && !p.flags.ack && tcp_listening(p.dst_port)) {
       // Passive open.
       const std::uint32_t iss = net_.rng()();
-      auto nc = std::unique_ptr<TcpConn>(new TcpConn(
-          *this, {addr_, p.dst_port}, {p.src, p.src_port}, /*inbound=*/true, iss));
-      TcpConn* raw = nc.get();
-      conns_.emplace(key, std::move(nc));
-      raw->rcv_next_ = p.seq + 1;
-      raw->emit(net::TcpFlags{.syn = true, .ack = true, .fin = false, .rst = false,
-                              .psh = false});
+      TcpConn& nc = add_conn(key, std::unique_ptr<TcpConn>(new TcpConn(
+                                      *this, {addr_, p.dst_port}, {p.src, p.src_port},
+                                      /*inbound=*/true, iss)));
+      nc.rcv_next_ = p.seq + 1;
+      nc.emit(net::TcpFlags{.syn = true, .ack = true, .fin = false, .rst = false,
+                            .psh = false});
       return;
     }
     // No connection to deliver to: a SYN to a closed port, or a stray
@@ -247,17 +287,14 @@ void Host::handle_tcp(const net::Packet& p) {
   const TcpConn::State after = conn->state();
 
   if (before == TcpConn::State::kSynSent) {
-    const auto pit = pending_connects_.find(key);
-    if (pit != pending_connects_.end()) {
+    // The handshake resolved: connected on SYN-ACK, refused on RST.
+    if ((after == TcpConn::State::kEstablished || after == TcpConn::State::kClosed) &&
+        conn->on_connect_) {
+      ConnectHandler handler = std::move(conn->on_connect_);
+      scheduler().cancel(conn->connect_timeout_);
       if (after == TcpConn::State::kEstablished) {
-        ConnectHandler handler = std::move(pit->second.cb);
-        scheduler().cancel(pit->second.timeout_event);
-        pending_connects_.erase(pit);
         handler(ConnectOutcome::kConnected, conn);
-      } else if (after == TcpConn::State::kClosed) {
-        ConnectHandler handler = std::move(pit->second.cb);
-        scheduler().cancel(pit->second.timeout_event);
-        pending_connects_.erase(pit);
+      } else {
         handler(ConnectOutcome::kRefused, nullptr);
       }
     }

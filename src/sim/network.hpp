@@ -129,7 +129,6 @@ using InboundRewriter = std::function<void(net::Packet&)>;
 using UdpHandler = std::function<void(const net::Packet&)>;
 using IcmpHandler = std::function<void(const net::Packet&)>;
 using AcceptHandler = std::function<void(TcpConn&)>;
-using ConnectHandler = std::function<void(ConnectOutcome, TcpConn*)>;
 
 /// A network endpoint actor: owns its TCP connections, UDP bindings and the
 /// interposition hooks the sandbox uses. Subclass or compose freely.
@@ -209,30 +208,39 @@ class Host {
  private:
   friend class TcpConn;
 
-  struct PendingConnect {
-    ConnectHandler cb;
-    EventId timeout_event = 0;
-  };
-
   using ConnKey = std::pair<net::Port, net::Endpoint>;  // (local port, remote)
+  struct ConnKeyHash {
+    std::size_t operator()(const ConnKey& k) const noexcept;
+  };
+  using ConnTable = std::unordered_map<ConnKey, std::unique_ptr<TcpConn>, ConnKeyHash>;
+
+  static constexpr net::Port kEphemeralFirst = 49152;
+  static constexpr std::size_t kEphemeralPorts = 65536 - kEphemeralFirst;
 
   void send_out(net::Packet p);  // filter -> tap -> network
   void handle_tcp(const net::Packet& p);
   void schedule_conn_erase(const ConnKey& key);
   TcpConn* find_conn(const ConnKey& key);
+  TcpConn& add_conn(const ConnKey& key, std::unique_ptr<TcpConn> conn);
+  void erase_conn(ConnTable::iterator it);
+  /// Every connection, ordered by key, so teardown sends in a fixed order.
+  [[nodiscard]] std::vector<TcpConn*> conns_by_key() const;
 
   Network& net_;
   net::Ipv4 addr_;
   std::string name_;
   std::map<net::Port, AcceptHandler> tcp_listeners_;
-  std::map<ConnKey, std::unique_ptr<TcpConn>> conns_;
-  std::map<ConnKey, PendingConnect> pending_connects_;
+  ConnTable conns_;
+  // Connections per local port in the ephemeral range, so port allocation
+  // skips held ports without searching conns_. Allocated (32 KiB) on the
+  // host's first connection in the range.
+  std::unique_ptr<std::uint16_t[]> ephemeral_conns_;
   std::map<net::Port, UdpHandler> udp_handlers_;
   IcmpHandler icmp_handler_;
   OutboundFilter filter_;
   InboundRewriter rewriter_;
   HostTap tap_;
-  net::Port next_ephemeral_ = 49152;
+  net::Port next_ephemeral_ = kEphemeralFirst;
   std::shared_ptr<const bool> lifetime_ = std::make_shared<const bool>(true);
 };
 

@@ -1,16 +1,18 @@
 // Discrete-event scheduler: the single source of time for the simulation.
 //
-// Events are (time, id, callback) triples in a min-heap. Ids are issued in
-// insertion order, so equal-time events fire in insertion order, which makes
-// every run deterministic.
+// Events fire in (time, id) order. Ids are issued in insertion order, so
+// equal-time events fire in insertion order, which makes every run
+// deterministic. The queue is a 4-ary min-heap of small plain entries
+// (time, id, slot, tag); each names a slot in a reused vector that holds
+// the event's callback, and a callback keeps closures of up to 80 bytes
+// inline, so scheduling a typical event allocates nothing.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
+#include "util/inline_function.hpp"
 #include "util/simtime.hpp"
 
 namespace malnet::sim {
@@ -20,6 +22,11 @@ using util::SimTime;
 
 /// Token used to cancel a scheduled event.
 using EventId = std::uint64_t;
+
+/// An event's callback. The inline buffer holds the hot closures: a packet
+/// delivery (network, address, 64-byte Packet) is 80 bytes, and a connect
+/// timeout (host, connection key, lifetime guard) is 40.
+using Callback = util::InlineFunction<void(), 80>;
 
 /// Phase attribution tag (see obs/profile.hpp for the pipeline's mapping).
 /// Events inherit the ambient tag at schedule time, and firing an event
@@ -37,9 +44,9 @@ class EventScheduler {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `fn` at absolute time `t` (clamped to now if in the past).
-  EventId at(SimTime t, std::function<void()> fn);
+  EventId at(SimTime t, Callback fn);
   /// Schedules `fn` after `d` from now.
-  EventId after(Duration d, std::function<void()> fn);
+  EventId after(Duration d, Callback fn);
 
   /// Cancels a pending event. No-op if already fired or cancelled.
   void cancel(EventId id);
@@ -74,23 +81,25 @@ class EventScheduler {
   }
 
  private:
-  struct Ev {
+  /// A heap entry; the callback waits in slots_[slot].
+  struct Entry {
     SimTime t;
     EventId id;
-    std::function<void()> fn;
+    std::uint32_t slot;
     PhaseTag tag;
-    bool operator>(const Ev& o) const {
-      return t != o.t ? t > o.t : id > o.id;
-    }
   };
 
-  void prune();    // drops cancelled events from the head of the queue
-  bool pop_one();  // fires the earliest event; false if queue empty
+  void push(const Entry& e);
+  void pop_head();  // removes heap_[0]
+  void prune();     // drops cancelled events from the head of the queue
+  bool pop_one();   // fires the earliest event; false if queue empty
 
-  std::priority_queue<Ev, std::vector<Ev>, std::greater<>> queue_;
-  // One bit per issued id (ids are dense from 1; slot 0 stays unused), set
+  std::vector<Entry> heap_;  // 4-ary min-heap on (t, id)
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  // One bit per issued id (ids are dense from 1; bit 0 stays unused), set
   // once the event fires or is cancelled. A cancelled event stays in the
-  // heap until prune() reaches it.
+  // heap, and its callback in its slot, until prune() reaches it.
   std::vector<bool> settled_ = std::vector<bool>(1);
   SimTime now_{0};
   EventId next_id_ = 1;

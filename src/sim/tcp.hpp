@@ -20,7 +20,9 @@
 #include <string>
 
 #include "net/packet.hpp"
+#include "sim/scheduler.hpp"
 #include "util/bytes.hpp"
+#include "util/inline_function.hpp"
 #include "util/simtime.hpp"
 
 namespace malnet::sim {
@@ -35,6 +37,13 @@ enum class ConnectOutcome {
 };
 
 [[nodiscard]] std::string to_string(ConnectOutcome o);
+
+class TcpConn;
+
+/// Fires exactly once per Host::tcp_connect, unless the host is destroyed
+/// first. The inline buffer holds the probe campaign's scout closure
+/// (campaign, round state, target: 32 bytes).
+using ConnectHandler = util::InlineFunction<void(ConnectOutcome, TcpConn*), 48>;
 
 /// One TCP connection endpoint. Owned by its Host; user code holds a
 /// non-owning pointer which stays valid until shortly after on_close fires.
@@ -99,6 +108,11 @@ class TcpConn {
   util::SimTime opened_at_;
   DataHandler on_data_;
   CloseHandler on_close_;
+  /// An active open's handler and timeout event, held until the connect
+  /// resolves. While the handler is set, the connection stays in its
+  /// host's table even if reset, so the timeout can still fire it.
+  ConnectHandler on_connect_;
+  EventId connect_timeout_ = 0;
 };
 
 }  // namespace malnet::sim

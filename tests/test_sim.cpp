@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
+#include <memory>
 #include <ostream>
+#include <set>
 
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -104,82 +108,140 @@ namespace {
 
 /// One step of a random scheduler session. `arg` is a time offset in ms for
 /// the scheduling ops and run_until, a target pick for cancel, and an event
-/// limit for run.
+/// limit for run. kSpawn and kCancelFromEvent schedule an event (offset
+/// `arg % 16` ms) that acts when it fires: it schedules a child after
+/// `arg / 16 % 16` ms, or cancels the pick `arg / 16`.
 struct SchedOp {
-  enum Kind : std::uint8_t { kAt, kAfter, kCancel, kRun, kRunUntil };
+  enum Kind : std::uint8_t {
+    kAt,
+    kAfter,
+    kCancel,
+    kRun,
+    kRunUntil,
+    kSpawn,
+    kCancelFromEvent
+  };
   Kind kind = kAt;
   std::uint32_t arg = 0;
   bool operator==(const SchedOp&) const = default;
 };
 
 std::ostream& operator<<(std::ostream& os, const SchedOp& op) {
-  static const char* const kNames[] = {"at", "after", "cancel", "run",
-                                       "run_until"};
+  static const char* const kNames[] = {"at",    "after",     "cancel",
+                                       "run",   "run_until", "spawn",
+                                       "cancel_from_event"};
   return os << kNames[op.kind] << '(' << op.arg << ')';
 }
 
 /// Replays `ops` on an EventScheduler and on a naive model: pending events
 /// in a vector sorted by (time, issue order), fired from the front. Every
-/// event logs its issue index when it fires. After each step the firing
-/// logs, the clock, pending() and empty() must agree with the model.
+/// event logs its issue index when it fires; spawning and cancelling
+/// events then act from inside their callback, so children take slots
+/// while the scheduler is firing and cancels reach pending, fired and
+/// unissued ids. After each step the firing logs, the clock, pending() and
+/// empty() must agree with the model.
 bool scheduler_matches_model(const std::vector<SchedOp>& ops) {
+  /// What an event does when it fires, after logging its index: kSpawn or
+  /// kCancelFromEvent act on `arg`; any other kind does nothing.
+  struct Action {
+    SchedOp::Kind kind = SchedOp::kAt;
+    std::uint32_t arg = 0;
+  };
   struct Pending {
     SimTime t;
     std::size_t index;  // issue order
+    Action action;
   };
   EventScheduler s;
   std::vector<EventId> ids;  // scheduler id of each issued event
   std::vector<std::size_t> fired;
   std::vector<std::size_t> want;
   std::vector<Pending> model;
+  std::size_t issued = 0;  // events the model has issued
   SimTime now{};
 
-  const auto schedule = [&](SimTime t) {
+  const auto child_offset = [](std::uint32_t arg) {
+    return Duration::millis(arg / 16 % 16);
+  };
+  // Picks an issued id (pending, fired or already cancelled), the null id
+  // 0, or the next id, which has not been issued yet.
+  const auto cancel_pick = [&](std::uint32_t arg) {
+    const std::size_t pick = arg % (ids.size() + 2);
+    if (pick < ids.size()) {
+      s.cancel(ids[pick]);
+    } else {
+      s.cancel(pick == ids.size() ? 0 : (ids.empty() ? 1 : ids.back() + 1));
+    }
+  };
+  const auto issue_child = [&](SimTime t) {
     const std::size_t index = ids.size();
+    ids.push_back(s.at(t, [&fired, index] { fired.push_back(index); }));
+  };
+  const auto issue = [&](SimTime t, Action action) {
+    const std::size_t index = ids.size();
+    ids.push_back(s.at(t, [&, index, action] {
+      fired.push_back(index);
+      if (action.kind == SchedOp::kSpawn) {
+        issue_child(s.now() + child_offset(action.arg));
+      } else if (action.kind == SchedOp::kCancelFromEvent) {
+        cancel_pick(action.arg / 16);
+      }
+    }));
+  };
+
+  const auto model_insert = [&](SimTime t, Action action) {
     const SimTime at = std::max(t, now);
     model.insert(std::upper_bound(model.begin(), model.end(), at,
                                   [](SimTime x, const Pending& p) {
                                     return x < p.t;
                                   }),
-                 Pending{at, index});
-    ids.push_back(s.at(t, [&fired, index] { fired.push_back(index); }));
+                 Pending{at, issued++, action});
+  };
+  const auto model_cancel = [&](std::uint32_t arg) {
+    const std::size_t pick = arg % (issued + 2);
+    std::erase_if(model, [pick](const Pending& p) { return p.index == pick; });
   };
   const auto fire_model = [&] {
-    now = model.front().t;
-    want.push_back(model.front().index);
+    const Pending p = model.front();
     model.erase(model.begin());
+    now = p.t;
+    want.push_back(p.index);
+    if (p.action.kind == SchedOp::kSpawn) {
+      model_insert(now + child_offset(p.action.arg), Action{});
+    } else if (p.action.kind == SchedOp::kCancelFromEvent) {
+      model_cancel(p.action.arg / 16);
+    }
+  };
+  const auto schedule = [&](SimTime t, Action action) {
+    model_insert(t, action);
+    issue(t, action);
   };
   const auto agrees = [&] {
-    return fired == want && s.now() == now && s.pending() == model.size() &&
-           s.empty() == model.empty();
+    return fired == want && ids.size() == issued && s.now() == now &&
+           s.pending() == model.size() && s.empty() == model.empty();
   };
 
   for (const auto& op : ops) {
     const auto offset = Duration::millis(op.arg % 16);
     switch (op.kind) {
       case SchedOp::kAt:
-        schedule(SimTime{} + offset);  // may lie in the past: clamps to now
+        schedule(SimTime{} + offset, {});  // may lie in the past: clamps to now
         break;
       case SchedOp::kAfter:
-        schedule(now + offset);
+        schedule(now + offset, {});
         break;
-      case SchedOp::kCancel: {
-        // Picks an issued id (pending, fired or already cancelled), the null
-        // id 0, or the next id, which has not been issued yet.
-        const std::size_t pick = op.arg % (ids.size() + 2);
-        if (pick < ids.size()) {
-          std::erase_if(model,
-                        [pick](const Pending& p) { return p.index == pick; });
-          s.cancel(ids[pick]);
-        } else {
-          s.cancel(pick == ids.size() ? 0 : (ids.empty() ? 1 : ids.back() + 1));
-        }
+      case SchedOp::kSpawn:
+      case SchedOp::kCancelFromEvent:
+        schedule(now + offset, Action{op.kind, op.arg});
         break;
-      }
+      case SchedOp::kCancel:
+        model_cancel(op.arg);
+        cancel_pick(op.arg);
+        break;
       case SchedOp::kRun: {
         const std::size_t limit = op.arg % 4;
-        const std::size_t expect = std::min(limit, model.size());
-        for (std::size_t i = 0; i < expect; ++i) fire_model();
+        std::size_t expect = 0;
+        for (; expect < limit && !model.empty(); ++expect) fire_model();
         if (s.run(limit) != expect) return false;
         break;
       }
@@ -196,9 +258,10 @@ bool scheduler_matches_model(const std::vector<SchedOp>& ops) {
     }
     if (!agrees()) return false;
   }
-  // Drain: run() executes exactly the events pending() reported.
-  const std::size_t expect = model.size();
-  while (!model.empty()) fire_model();
+  // Drain: run() executes exactly the events pending() reported, plus the
+  // children they spawn.
+  std::size_t expect = 0;
+  for (; !model.empty(); ++expect) fire_model();
   return s.run() == expect && agrees();
 }
 
@@ -214,13 +277,51 @@ TEST(SchedulerProps, MatchesSortedVectorModel) {
                                             {3, SchedOp::kAfter},
                                             {3, SchedOp::kCancel},
                                             {2, SchedOp::kRun},
-                                            {1, SchedOp::kRunUntil}}),
+                                            {1, SchedOp::kRunUntil},
+                                            {2, SchedOp::kSpawn},
+                                            {2, SchedOp::kCancelFromEvent}}),
           testkit::ints<std::uint32_t>(0, 1000)),
       0, 48);
   testkit::CheckConfig cfg;
   cfg.name = "scheduler vs sorted-vector model";
   const auto r = testkit::check(ops, scheduler_matches_model, cfg);
   EXPECT_TRUE(r.ok) << r.summary();
+}
+
+TEST(Scheduler, CallbacksReleaseCapturesOnce) {
+  // Each callback holds one reference to `token`. It must drop it exactly
+  // once: after the event fires, once a cancelled event is drained, and when
+  // the scheduler is destroyed with the event still pending. The small
+  // closure lives in the callback's inline buffer, the large one on the heap.
+  const auto check_release = [](auto make_callback) {
+    auto token = std::make_shared<int>(0);
+    {
+      EventScheduler s;
+      s.after(Duration::seconds(1), make_callback(token));
+      EXPECT_EQ(token.use_count(), 2);
+      s.run();
+      EXPECT_EQ(*token, 1);
+      EXPECT_EQ(token.use_count(), 1);
+
+      s.cancel(s.after(Duration::seconds(1), make_callback(token)));
+      s.run();
+      EXPECT_EQ(*token, 1);
+      EXPECT_EQ(token.use_count(), 1);
+
+      s.after(Duration::seconds(1), make_callback(token));
+      EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1);
+  };
+  const auto small = [](std::shared_ptr<int> t) { return [t] { ++*t; }; };
+  const auto large = [](std::shared_ptr<int> t) {
+    return [t, pad = std::array<char, 256>{}] { *t += 1 + pad[0]; };
+  };
+  static_assert(Callback::stores_inline<decltype(small(nullptr))>);
+  static_assert(!Callback::stores_inline<decltype(large(nullptr))>);
+  check_release(small);
+  check_release(large);
 }
 
 // --- network -----------------------------------------------------------------
@@ -357,6 +458,56 @@ TEST(Host, EphemeralPortsSkipBoundOnes) {
   const auto p = a.alloc_ephemeral_port();
   EXPECT_NE(p, 49152);
   EXPECT_GE(p, 49152);
+}
+
+TEST(Host, EphemeralPortsSkipPortsHeldByConnections) {
+  TestWorld w;
+  Host a(w.net, net::Ipv4{10, 0, 0, 1});
+  Host peer(w.net, net::Ipv4{10, 0, 0, 2});
+  peer.tcp_listen(80, [](TcpConn&) {});
+  // Outbound: a's first connect takes the first ephemeral port.
+  TcpConn* outbound = nullptr;
+  a.tcp_connect({peer.addr(), 80},
+                [&](ConnectOutcome, TcpConn* c) { outbound = c; });
+  // Inbound: the peer connects to an ephemeral-range port that a then stops
+  // listening on, so only the connection holds the port.
+  constexpr net::Port kListened = 50000;
+  TcpConn* inbound = nullptr;
+  a.tcp_listen(kListened, [&](TcpConn& c) { inbound = &c; });
+  peer.tcp_connect({a.addr(), kListened}, [](ConnectOutcome, TcpConn*) {});
+  w.sched.run();
+  ASSERT_NE(outbound, nullptr);
+  ASSERT_NE(inbound, nullptr);
+  ASSERT_EQ(outbound->local().port, 49152);
+  a.tcp_unlisten(kListened);
+
+  // Ports a hands out, read from its SYNs. One cycle runs enough
+  // connect-and-timeout rounds to a dark address to wrap the counter.
+  std::multiset<net::Port> handed;
+  a.set_tap([&](const net::Packet& p, bool outbound_packet) {
+    if (outbound_packet && p.flags.syn) handed.insert(p.src_port);
+  });
+  const auto cycle = [&] {
+    handed.clear();
+    for (int i = 0; i < 16384; ++i) {
+      a.tcp_connect({net::Ipv4{66, 0, 0, 1}, 80}, [](ConnectOutcome, TcpConn*) {},
+                    Duration::millis(1));
+      w.sched.run();
+    }
+  };
+  cycle();
+  EXPECT_EQ(handed.count(49152), 0u);
+  EXPECT_EQ(handed.count(kListened), 0u);
+  EXPECT_EQ(std::set<net::Port>(handed.begin(), handed.end()).size(), 16382u);
+
+  outbound->close();
+  inbound->close();
+  w.sched.run();  // the FIN exchange, then the 60 s erase sweep
+  ASSERT_EQ(a.open_connections(), 0u);
+  cycle();
+  EXPECT_EQ(handed.count(49152), 1u);
+  EXPECT_EQ(handed.count(kListened), 1u);
+  EXPECT_EQ(std::set<net::Port>(handed.begin(), handed.end()).size(), 16384u);
 }
 
 // --- TCP ---------------------------------------------------------------------
@@ -523,6 +674,52 @@ TEST(Tcp, CloseAllConnections) {
   EXPECT_EQ(server_closes, 3);
 }
 
+TEST(Tcp, TeardownVisitsConnectionsInKeyOrder) {
+  // Teardown packets leave in (local port, remote) order, whatever order
+  // the connections were opened in, so the simulation stays deterministic.
+  TestWorld w;
+  Host a(w.net, net::Ipv4{10, 0, 0, 1});
+  Host b(w.net, net::Ipv4{10, 0, 0, 2});
+  Host c(w.net, net::Ipv4{10, 0, 0, 3});
+  for (Host* h : {&a, &b, &c}) {
+    h->tcp_listen(23, [](TcpConn&) {});
+    h->tcp_listen(80, [](TcpConn&) {});
+  }
+  const auto dial = [](Host& from, Host& to, net::Port port) {
+    from.tcp_connect({to.addr(), port}, [](ConnectOutcome o, TcpConn*) {
+      ASSERT_EQ(o, ConnectOutcome::kConnected);
+    });
+  };
+  for (Host* x : {&a, &b}) {
+    Host& other = x == &a ? b : a;
+    dial(c, *x, 80);
+    dial(*x, c, 80);
+    dial(other, *x, 23);
+    dial(*x, other, 23);
+    dial(*x, c, 23);
+    dial(c, *x, 23);
+    dial(other, *x, 80);
+  }
+  w.sched.run();
+
+  using Key = std::pair<net::Port, net::Endpoint>;
+  const auto teardown_order = [](Host& h, auto teardown) {
+    std::vector<Key> sent;
+    h.set_tap([&sent](const net::Packet& p, bool outbound) {
+      if (outbound) sent.push_back({p.src_port, {p.dst, p.dst_port}});
+    });
+    teardown(h);
+    h.clear_tap();
+    return sent;
+  };
+  const auto fins = teardown_order(a, [](Host& h) { h.close_all_connections(); });
+  const auto rsts = teardown_order(b, [](Host& h) { h.abort_all_connections(); });
+  EXPECT_EQ(fins.size(), 10u);
+  EXPECT_EQ(rsts.size(), 10u);
+  EXPECT_TRUE(std::is_sorted(fins.begin(), fins.end()));
+  EXPECT_TRUE(std::is_sorted(rsts.begin(), rsts.end()));
+}
+
 TEST(Tcp, InboundRewriterRestoresAddresses) {
   // Simulate the sandbox NAT: client sends to X, filter rewrites to B, the
   // inbound rewriter restores B's replies to X so the client's TCP state
@@ -546,6 +743,210 @@ TEST(Tcp, InboundRewriterRestoresAddresses) {
   });
   w.sched.run();
   EXPECT_EQ(got, "hi");
+}
+
+namespace {
+
+/// One step of a random TCP session across three hosts. `a` and `b` pick
+/// the host, target, port, connection, size or run length each kind needs.
+struct TcpOp {
+  enum Kind : std::uint8_t {
+    kListen,
+    kUnlisten,
+    kConnect,
+    kSend,
+    kClose,
+    kReset,
+    kAbortAll,
+    kRun
+  };
+  Kind kind = kListen;
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+  bool operator==(const TcpOp&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const TcpOp& op) {
+  static const char* const kNames[] = {"listen", "unlisten", "connect",
+                                       "send",   "close",    "reset",
+                                       "abort_all", "run"};
+  return os << kNames[op.kind] << '(' << op.a << ',' << op.b << ')';
+}
+
+/// Replays `ops` on three hosts of a lossless network, each listening on
+/// port 80 to begin with, then closes every connection, one host at a time,
+/// and drains the scheduler. Every connect handler must have
+/// fired exactly once, every host's connection table must be empty, and
+/// each connection that its peer closed with FIN (FIN both ways, no RST
+/// either way) must have received every byte the peer sent. The side that
+/// sent the first FIN is not checked: the model has no half-close, so it
+/// drops data that crosses its FIN.
+bool connections_settle(const std::vector<TcpOp>& ops) {
+  EventScheduler sched;
+  Network net(sched);
+  Host h0(net, net::Ipv4{10, 0, 0, 1});
+  Host h1(net, net::Ipv4{10, 0, 0, 2});
+  Host h2(net, net::Ipv4{10, 0, 0, 3});
+  const std::array<Host*, 3> hosts{&h0, &h1, &h2};
+  // 50000 lies in the ephemeral range, so inbound connections hold ports
+  // the allocator must skip.
+  const std::array<net::Port, 3> ports{80, 23, 50000};
+
+  struct Flow {
+    std::uint64_t bytes = 0;
+    bool fin = false;
+    bool rst = false;
+  };
+  std::map<std::pair<net::Endpoint, net::Endpoint>, Flow> flows;  // (src, dst)
+  net.set_global_tap([&](const net::Packet& p) {
+    Flow& f = flows[{{p.src, p.src_port}, {p.dst, p.dst_port}}];
+    f.bytes += p.payload.size();
+    f.fin |= p.flags.fin;
+    f.rst |= p.flags.rst;
+  });
+
+  struct Live {
+    std::size_t host;
+    TcpConn* conn;
+  };
+  struct PeerClosed {
+    net::Endpoint local;
+    net::Endpoint remote;
+    std::uint64_t received;
+  };
+  std::vector<Live> live;  // open connections the test may act on
+  std::vector<PeerClosed> peer_closed;
+  std::vector<int> handler_calls;  // per connect
+  bool draining = false;
+  const auto adopt = [&](std::size_t host, TcpConn& conn) {
+    if (draining) {
+      conn.close();
+      return;
+    }
+    conn.on_close([&](TcpConn& c) {
+      peer_closed.push_back({c.local(), c.remote(), c.bytes_received()});
+      std::erase_if(live, [&c](const Live& l) { return l.conn == &c; });
+    });
+    live.push_back({host, &conn});
+  };
+  const auto take = [&](std::uint32_t pick) {
+    const std::size_t i = pick % live.size();
+    TcpConn* conn = live[i].conn;
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    return conn;
+  };
+
+  const auto listen = [&](std::size_t h, net::Port port) {
+    hosts[h]->tcp_listen(port, [&adopt, h](TcpConn& c) { adopt(h, c); });
+  };
+  for (std::size_t h = 0; h < hosts.size(); ++h) listen(h, ports[0]);
+
+  for (const auto& op : ops) {
+    const std::size_t h = op.a % hosts.size();
+    switch (op.kind) {
+      case TcpOp::kListen:
+        listen(h, ports[op.b % ports.size()]);
+        break;
+      case TcpOp::kUnlisten:
+        hosts[h]->tcp_unlisten(ports[op.b % ports.size()]);
+        break;
+      case TcpOp::kConnect: {
+        // Targets: the three hosts (a host may dial itself) and a dark
+        // address. Timeouts fall below one round trip (10 ms at least),
+        // in between, or past the 60 s erase delay.
+        // Port 80, which every host listens on at first, is picked twice
+        // as often as the others.
+        const net::Ipv4 dst =
+            op.b % 4 < hosts.size() ? hosts[op.b % 4]->addr() : net::Ipv4{10, 9, 9, 9};
+        const net::Port port = ports[op.b / 4 % 4 % ports.size()];
+        const Duration timeouts[] = {Duration::millis(1 + op.b / 48 % 9),
+                                     Duration::seconds(2),
+                                     Duration::seconds(61 + op.b / 48)};
+        const std::size_t index = handler_calls.size();
+        handler_calls.push_back(0);
+        hosts[h]->tcp_connect(
+            {dst, port},
+            [&handler_calls, &adopt, h, index](ConnectOutcome o, TcpConn* c) {
+              ++handler_calls[index];
+              if (o == ConnectOutcome::kConnected) adopt(h, *c);
+            },
+            timeouts[op.b / 16 % 3]);
+        break;
+      }
+      case TcpOp::kSend:
+        if (!live.empty()) {
+          live[op.a % live.size()].conn->send(
+              util::Bytes(1 + op.b % 64, static_cast<std::uint8_t>(op.b)));
+        }
+        break;
+      case TcpOp::kClose:
+        if (!live.empty()) take(op.a)->close();
+        break;
+      case TcpOp::kReset:
+        if (!live.empty()) take(op.a)->reset();
+        break;
+      case TcpOp::kAbortAll:
+        hosts[h]->abort_all_connections();
+        std::erase_if(live, [h](const Live& l) { return l.host == h; });
+        break;
+      case TcpOp::kRun:
+        if (op.b % 4 == 3) {
+          sched.run_until(sched.now() + Duration::seconds(61));
+        } else if (op.b % 2 == 1) {
+          sched.run_until(sched.now() + Duration::millis(op.a % 300));
+        } else {
+          sched.run(op.a % 8);
+        }
+        break;
+    }
+  }
+
+  // Close one host's connections at a time, so their peers close on FIN.
+  draining = true;
+  live.clear();
+  for (Host* host : hosts) {
+    host->close_all_connections();
+    sched.run();
+  }
+
+  for (const int calls : handler_calls) {
+    if (calls != 1) return false;
+  }
+  for (const Host* host : hosts) {
+    if (host->open_connections() != 0) return false;
+  }
+  for (const auto& c : peer_closed) {
+    const Flow in = flows[{c.remote, c.local}];
+    const Flow out = flows[{c.local, c.remote}];
+    if (!in.fin || !out.fin || in.rst || out.rst) continue;
+    if (c.received != in.bytes) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(TcpProps, ConnectionsSettleAtLossZero) {
+  const auto ops = testkit::vectors_of(
+      testkit::apply(
+          [](TcpOp::Kind kind, std::uint32_t a, std::uint32_t b) {
+            return TcpOp{kind, a, b};
+          },
+          testkit::weighted<TcpOp::Kind>({{2, TcpOp::kListen},
+                                          {1, TcpOp::kUnlisten},
+                                          {4, TcpOp::kConnect},
+                                          {4, TcpOp::kSend},
+                                          {1, TcpOp::kClose},
+                                          {1, TcpOp::kReset},
+                                          {1, TcpOp::kAbortAll},
+                                          {5, TcpOp::kRun}}),
+          testkit::ints<std::uint32_t>(0, 1000),
+          testkit::ints<std::uint32_t>(0, 1000)),
+      0, 64);
+  testkit::CheckConfig cfg;
+  cfg.name = "TCP connections settle at loss 0";
+  const auto r = testkit::check(ops, connections_settle, cfg);
+  EXPECT_TRUE(r.ok) << r.summary();
 }
 
 TEST(Network, PacketLossDropsConfiguredFraction) {
