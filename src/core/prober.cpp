@@ -101,13 +101,14 @@ void ProbeCampaign::run_round(int round) {
 }
 
 void ProbeCampaign::scout_next(std::shared_ptr<Round> state) {
-  // Issue one 100 ms batch of scout connects.
+  // Issue one 100 ms batch of scout probes: stateless SYNs that make a
+  // connection only for a target that answers.
   const auto batch = static_cast<std::size_t>(cfg_.scout_rate_pps / 10.0) + 1;
   for (std::size_t i = 0; i < batch && state->next < state->queue.size(); ++i) {
     const net::Endpoint target = state->queue[state->next++];
     ++result_.scout_probes;
     ++state->outstanding;
-    scout_->tcp_connect(
+    scout_->tcp_probe(
         target,
         [this, state, target](sim::ConnectOutcome outcome, sim::TcpConn* conn) {
           if (outcome != sim::ConnectOutcome::kConnected || conn == nullptr) {

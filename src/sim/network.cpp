@@ -170,6 +170,81 @@ void Host::tcp_connect(net::Endpoint remote, ConnectHandler cb, Duration timeout
                           .psh = false});
 }
 
+void Host::tcp_probe(net::Endpoint remote, ConnectHandler cb, Duration timeout) {
+  if (!cb) throw std::invalid_argument("tcp_probe: null handler");
+  const SimTime deadline = now() + timeout;
+  if (timeout <= Duration{} ||
+      (probe_count_ > 0 && deadline < probe_at(probe_count_ - 1).deadline)) {
+    throw std::invalid_argument(
+        "tcp_probe: timeout not positive or deadline before the previous probe's");
+  }
+  // tcp_connect's order: the port, the ISS, the timeout event, then the SYN.
+  const net::Port local_port = alloc_ephemeral_port();
+  const std::uint32_t iss = net_.rng()();
+  hold_port(local_port);
+
+  // A probe sent at the same time, with the same deadline, as the previous
+  // one joins its group, whose timer fires at the id position of the
+  // group's first timeout under tcp_connect. The probes after the first
+  // would each have had their own timeout event at that same time, a few
+  // ids later. That is exact when nothing scheduled between the group's
+  // probes fires at the deadline. The scout's batches meet this: between
+  // their probes only the batch's SYN deliveries are scheduled, and each
+  // lands at most max_latency (120 ms) plus a fault-injected latency spike
+  // (1.5 s at most) after sending, before the 2 s timeout; the fault hook
+  // schedules nothing.
+  const bool joins = probe_count_ > 0 && probe_at(probe_count_ - 1).sent_at == now() &&
+                     probe_at(probe_count_ - 1).deadline == deadline;
+  if (!joins) {
+    auto time_out = [this, sent_at = now(), deadline,
+                     w = std::weak_ptr<const bool>(lifetime_)]() {
+      if (!w.expired()) expire_probes(sent_at, deadline, w);
+    };
+    static_assert(Callback::stores_inline<decltype(time_out)>);
+    scheduler().at(deadline, std::move(time_out));
+  }
+  if (probe_count_ == probes_.size()) {
+    std::vector<Probe> grown(std::max<std::size_t>(16, 2 * probes_.size()));
+    for (std::size_t i = 0; i < probe_count_; ++i) grown[i] = std::move(probe_at(i));
+    probes_ = std::move(grown);
+    probe_head_ = 0;
+  }
+  probe_at(probe_count_++) = Probe{remote, local_port, iss, now(), deadline, std::move(cb)};
+  send_out(tcp_segment({addr_, local_port}, remote,
+                       net::TcpFlags{.syn = true, .ack = false, .fin = false,
+                                     .rst = false, .psh = false},
+                       iss, 0));
+}
+
+void Host::expire_probes(SimTime sent_at, SimTime deadline,
+                         const std::weak_ptr<const bool>& guard) {
+  // Timers fire in deadline order, and equal deadlines in send order, so
+  // the group this timer expires is at the front of the ring. Its probes
+  // time out in send order, as their own timeouts would have fired.
+  while (probe_count_ > 0 && probe_at(0).sent_at == sent_at &&
+         probe_at(0).deadline == deadline) {
+    Probe& front = probe_at(0);
+    const net::Port port = front.local_port;
+    ConnectHandler handler = std::move(front.on_connect);
+    probe_head_ = (probe_head_ + 1) & (probes_.size() - 1);
+    --probe_count_;
+    if (!handler) continue;  // answered: its connection holds the port now
+    release_port(port);
+    handler(ConnectOutcome::kTimeout, nullptr);
+    if (guard.expired()) return;  // the handler destroyed this host
+  }
+}
+
+Host::Probe* Host::find_probe(const ConnKey& key) {
+  for (std::size_t i = 0; i < probe_count_; ++i) {
+    Probe& probe = probe_at(i);
+    if (probe.local_port == key.first && probe.remote == key.second && probe.on_connect) {
+      return &probe;
+    }
+  }
+  return nullptr;
+}
+
 void Host::close_all_connections() {
   for (TcpConn* conn : conns_by_key()) {
     if (conn->established()) conn->close();
@@ -201,23 +276,25 @@ TcpConn* Host::find_conn(const ConnKey& key) {
 TcpConn& Host::add_conn(const ConnKey& key, std::unique_ptr<TcpConn> conn) {
   TcpConn& ref = *conn;
   conns_.emplace(key, std::move(conn));
-  if (key.first >= kEphemeralFirst) {
-    if (!ephemeral_conns_) {
-      ephemeral_conns_ = std::make_unique<std::uint16_t[]>(kEphemeralPorts);
-    }
-    std::uint16_t& held = ephemeral_conns_[key.first - kEphemeralFirst];
-    if (held == UINT16_MAX) {
-      throw std::length_error("Host: too many connections on one port");
-    }
-    ++held;
-  }
+  hold_port(key.first);
   return ref;
 }
 
 void Host::erase_conn(ConnTable::iterator it) {
-  const net::Port port = it->first.first;
-  if (port >= kEphemeralFirst) --ephemeral_conns_[port - kEphemeralFirst];
+  release_port(it->first.first);
   conns_.erase(it);
+}
+
+void Host::hold_port(net::Port port) {
+  if (port < kEphemeralFirst) return;
+  if (!ephemeral_conns_) ephemeral_conns_ = std::make_unique<std::uint16_t[]>(kEphemeralPorts);
+  std::uint16_t& held = ephemeral_conns_[port - kEphemeralFirst];
+  if (held == UINT16_MAX) throw std::length_error("Host: too many connections on one port");
+  ++held;
+}
+
+void Host::release_port(net::Port port) {
+  if (port >= kEphemeralFirst) --ephemeral_conns_[port - kEphemeralFirst];
 }
 
 std::vector<TcpConn*> Host::conns_by_key() const {
@@ -247,6 +324,21 @@ void Host::handle_tcp(const net::Packet& p) {
   const ConnKey key{p.dst_port, {p.src, p.src_port}};
   TcpConn* conn = find_conn(key);
 
+  if (conn == nullptr && probe_count_ > 0) {
+    if (Probe* probe = find_probe(key)) {
+      // A SYN-SENT connection acts only on a SYN-ACK or a RST and ignores
+      // anything else, so only those give the probe its connection: the
+      // one tcp_connect would hold, which then takes the answer below.
+      if (!p.flags.rst && !(p.flags.syn && p.flags.ack)) return;
+      release_port(probe->local_port);  // the connection holds it instead
+      conn = &add_conn(key, std::unique_ptr<TcpConn>(new TcpConn(
+                                *this, {addr_, probe->local_port}, probe->remote,
+                                /*inbound=*/false, probe->iss + 1)));
+      conn->opened_at_ = probe->sent_at;
+      conn->on_connect_ = std::move(probe->on_connect);
+    }
+  }
+
   if (conn == nullptr) {
     if (p.flags.rst) return;  // RST to nothing: ignore, so RSTs never bounce
     if (p.flags.syn && !p.flags.ack && tcp_listening(p.dst_port)) {
@@ -264,21 +356,14 @@ void Host::handle_tcp(const net::Packet& p) {
     // segment such as a SYN-ACK that arrives after its connect timed out.
     // Answer with RST (RFC 793 §3.4), which also frees the peer's
     // half-open connection.
-    net::Packet rst;
-    rst.src = addr_;
-    rst.dst = p.src;
-    rst.proto = net::Protocol::kTcp;
-    rst.src_port = p.dst_port;
-    rst.dst_port = p.src_port;
-    rst.flags.rst = true;
-    if (p.flags.ack) {
-      rst.seq = p.ack_num;
-    } else {
-      rst.flags.ack = true;
-      rst.ack_num = p.seq + static_cast<std::uint32_t>(p.payload.size()) +
-                    (p.flags.syn ? 1 : 0) + (p.flags.fin ? 1 : 0);
-    }
-    send_out(std::move(rst));
+    net::TcpFlags flags{.syn = false, .ack = !p.flags.ack, .fin = false, .rst = true,
+                        .psh = false};
+    const std::uint32_t seq = p.flags.ack ? p.ack_num : 0;
+    const std::uint32_t ack_num =
+        p.flags.ack ? 0
+                    : p.seq + static_cast<std::uint32_t>(p.payload.size()) +
+                          (p.flags.syn ? 1 : 0) + (p.flags.fin ? 1 : 0);
+    send_out(tcp_segment({addr_, p.dst_port}, p.source(), flags, seq, ack_num));
     return;
   }
 

@@ -153,6 +153,17 @@ class Host {
   /// kConnected the TcpConn pointer is valid until its on_close fires.
   void tcp_connect(net::Endpoint remote, ConnectHandler cb,
                    Duration timeout = Duration::seconds(5));
+  /// Active open as a stateless scanner sends it: the SYN leaves at once,
+  /// but no TcpConn exists until the target answers. The handler fires
+  /// exactly once, as for tcp_connect: a SYN-ACK makes the connection
+  /// tcp_connect would have made and reports kConnected, a RST reports
+  /// kRefused, and silence reports kTimeout. Probes sent at one sim time
+  /// with one timeout share one timer event. The timeout must be positive,
+  /// and no probe's deadline (send time plus timeout) may precede the
+  /// previous probe's; std::invalid_argument otherwise. An outstanding
+  /// probe holds its port but is no connection: open_connections() does
+  /// not count it and the *_all_connections calls leave it alone.
+  void tcp_probe(net::Endpoint remote, ConnectHandler cb, Duration timeout);
   [[nodiscard]] std::size_t open_connections() const { return conns_.size(); }
   /// Gracefully closes every established connection (used at sandbox-run
   /// teardown so peers see a FIN rather than a vanished host).
@@ -171,7 +182,8 @@ class Host {
                  util::BytesView payload = {});
   void set_icmp_handler(IcmpHandler h) { icmp_handler_ = std::move(h); }
 
-  // --- Raw (scan-style traffic: SYN probes with no connection state) ------
+  // --- Raw (packets no connection owns, e.g. SYN floods) ------------------
+  /// A scanner that needs its probes' answers uses tcp_probe instead.
   void send_raw(net::Packet p);
 
   // --- Interposition (sandbox) --------------------------------------------
@@ -217,12 +229,29 @@ class Host {
   static constexpr net::Port kEphemeralFirst = 49152;
   static constexpr std::size_t kEphemeralPorts = 65536 - kEphemeralFirst;
 
+  /// An outstanding tcp_probe: its SYN is out, and it has no TcpConn until
+  /// the target answers.
+  struct Probe {
+    net::Endpoint remote;
+    net::Port local_port = 0;
+    std::uint32_t iss = 0;
+    SimTime sent_at;
+    SimTime deadline;
+    ConnectHandler on_connect;  // empty once the target has answered
+  };
+
   void send_out(net::Packet p);  // filter -> tap -> network
   void handle_tcp(const net::Packet& p);
   void schedule_conn_erase(const ConnKey& key);
   TcpConn* find_conn(const ConnKey& key);
   TcpConn& add_conn(const ConnKey& key, std::unique_ptr<TcpConn> conn);
   void erase_conn(ConnTable::iterator it);
+  void hold_port(net::Port port);
+  void release_port(net::Port port);
+  Probe& probe_at(std::size_t i) { return probes_[(probe_head_ + i) & (probes_.size() - 1)]; }
+  Probe* find_probe(const ConnKey& key);
+  void expire_probes(SimTime sent_at, SimTime deadline,
+                     const std::weak_ptr<const bool>& guard);
   /// Every connection, ordered by key, so teardown sends in a fixed order.
   [[nodiscard]] std::vector<TcpConn*> conns_by_key() const;
 
@@ -231,10 +260,16 @@ class Host {
   std::string name_;
   std::map<net::Port, AcceptHandler> tcp_listeners_;
   ConnTable conns_;
-  // Connections per local port in the ephemeral range, so port allocation
-  // skips held ports without searching conns_. Allocated (32 KiB) on the
-  // host's first connection in the range.
+  // Connections and outstanding probes per local port in the ephemeral
+  // range, so port allocation skips held ports without searching conns_.
+  // Allocated (32 KiB) on the host's first connection or probe in the range.
   std::unique_ptr<std::uint16_t[]> ephemeral_conns_;
+  // Outstanding probes in send order: a ring over probes_, whose size is a
+  // power of two, starting at probe_head_. An answered probe stays in it,
+  // handler empty, until its group's timer pops it.
+  std::vector<Probe> probes_;
+  std::size_t probe_head_ = 0;
+  std::size_t probe_count_ = 0;
   std::map<net::Port, UdpHandler> udp_handlers_;
   IcmpHandler icmp_handler_;
   OutboundFilter filter_;

@@ -23,17 +23,24 @@ TcpConn::TcpConn(Host& host, net::Endpoint local, net::Endpoint remote, bool inb
       snd_next_(iss),
       opened_at_(host.now()) {}
 
-void TcpConn::emit(net::TcpFlags flags, util::BytesView payload) {
+net::Packet tcp_segment(net::Endpoint from, net::Endpoint to, net::TcpFlags flags,
+                        std::uint32_t seq, std::uint32_t ack_num,
+                        util::BytesView payload) {
   net::Packet p;
-  p.src = local_.ip;
-  p.dst = remote_.ip;
+  p.src = from.ip;
+  p.dst = to.ip;
   p.proto = net::Protocol::kTcp;
-  p.src_port = local_.port;
-  p.dst_port = remote_.port;
+  p.src_port = from.port;
+  p.dst_port = to.port;
   p.flags = flags;
-  p.seq = snd_next_;
-  p.ack_num = rcv_next_;
+  p.seq = seq;
+  p.ack_num = ack_num;
   p.payload.assign(payload.begin(), payload.end());
+  return p;
+}
+
+void TcpConn::emit(net::TcpFlags flags, util::BytesView payload) {
+  net::Packet p = tcp_segment(local_, remote_, flags, snd_next_, rcv_next_, payload);
   // SYN and FIN each consume one sequence number; data consumes its length.
   snd_next_ += static_cast<std::uint32_t>(payload.size());
   if (flags.syn || flags.fin) ++snd_next_;

@@ -40,10 +40,18 @@ enum class ConnectOutcome {
 
 class TcpConn;
 
-/// Fires exactly once per Host::tcp_connect, unless the host is destroyed
-/// first. The inline buffer holds the probe campaign's scout closure
-/// (campaign, round state, target: 32 bytes).
+/// Fires exactly once per Host::tcp_connect or Host::tcp_probe, unless the
+/// host is destroyed first. The inline buffer holds the probe campaign's
+/// scout closure (campaign, round state, target: 32 bytes).
 using ConnectHandler = util::InlineFunction<void(ConnectOutcome, TcpConn*), 48>;
+
+/// Builds one TCP segment from `from` to `to`. Every segment the simulator
+/// sends is made here: a connection's, a probe's SYN and a RST answering a
+/// segment no connection owns.
+[[nodiscard]] net::Packet tcp_segment(net::Endpoint from, net::Endpoint to,
+                                      net::TcpFlags flags, std::uint32_t seq,
+                                      std::uint32_t ack_num,
+                                      util::BytesView payload = {});
 
 /// One TCP connection endpoint. Owned by its Host; user code holds a
 /// non-owning pointer which stays valid until shortly after on_close fires.
@@ -110,7 +118,9 @@ class TcpConn {
   CloseHandler on_close_;
   /// An active open's handler and timeout event, held until the connect
   /// resolves. While the handler is set, the connection stays in its
-  /// host's table even if reset, so the timeout can still fire it.
+  /// host's table even if reset, so the timeout can still fire it. A
+  /// connection made for an answered probe resolves on that answer and
+  /// has no timeout event.
   ConnectHandler on_connect_;
   EventId connect_timeout_ = 0;
 };

@@ -7,6 +7,7 @@
 #include <memory>
 #include <ostream>
 #include <set>
+#include <tuple>
 
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -510,6 +511,101 @@ TEST(Host, EphemeralPortsSkipPortsHeldByConnections) {
   EXPECT_EQ(std::set<net::Port>(handed.begin(), handed.end()).size(), 16384u);
 }
 
+TEST(Host, EphemeralPortsSkipPortsHeldByProbes) {
+  // An outstanding probe holds its port until it times out. A refused one
+  // hands it to a closed connection, which holds it until the 60 s erase,
+  // as a refused tcp_connect does.
+  TestWorld w;
+  Host a(w.net, net::Ipv4{10, 0, 0, 1});
+  Host peer(w.net, net::Ipv4{10, 0, 0, 2});  // listens nowhere, so it refuses
+  std::vector<ConnectOutcome> outcomes;
+  const auto record = [&](ConnectOutcome o, TcpConn*) { outcomes.push_back(o); };
+  a.tcp_probe({net::Ipv4{66, 0, 0, 1}, 80}, record, Duration::seconds(2));  // 49152
+  a.tcp_probe({peer.addr(), 81}, record, Duration::seconds(2));             // 49153
+  // The ports one full cycle of the allocator hands out.
+  const auto cycle = [&] {
+    std::set<net::Port> handed;
+    for (std::size_t i = 0; i < 16384; ++i) handed.insert(a.alloc_ephemeral_port());
+    return handed;
+  };
+
+  w.sched.run_until(SimTime{} + Duration::seconds(1));
+  ASSERT_EQ(outcomes, std::vector<ConnectOutcome>{ConnectOutcome::kRefused});
+  EXPECT_EQ(a.open_connections(), 1u);  // the refused probe's, closed
+  auto handed = cycle();
+  EXPECT_EQ(handed.count(49152), 0u);
+  EXPECT_EQ(handed.count(49153), 0u);
+  EXPECT_EQ(handed.size(), 16382u);
+
+  w.sched.run_until(SimTime{} + Duration::seconds(3));
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[1], ConnectOutcome::kTimeout);
+  handed = cycle();
+  EXPECT_EQ(handed.count(49152), 1u);
+  EXPECT_EQ(handed.count(49153), 0u);
+  EXPECT_EQ(handed.size(), 16383u);
+
+  w.sched.run();  // the 60 s erase
+  EXPECT_EQ(a.open_connections(), 0u);
+  EXPECT_EQ(cycle().size(), 16384u);
+}
+
+TEST(Host, ProbesSentTogetherShareOneTimer) {
+  // A dark probe makes no connection and schedules no event of its own:
+  // probes sent at one sim time with one timeout share one timer, which
+  // times them out in send order.
+  TestWorld w;
+  Host a(w.net, net::Ipv4{10, 0, 0, 1});
+  std::vector<int> timed_out;
+  const auto probe_dark = [&](int i) {
+    a.tcp_probe({net::Ipv4{66, 0, 0, static_cast<std::uint8_t>(1 + i)}, 80},
+                [&timed_out, i](ConnectOutcome o, TcpConn* c) {
+                  EXPECT_EQ(o, ConnectOutcome::kTimeout);
+                  EXPECT_EQ(c, nullptr);
+                  timed_out.push_back(i);
+                },
+                Duration::seconds(2));
+  };
+  for (int i = 0; i < 13; ++i) probe_dark(i);
+  EXPECT_EQ(w.sched.pending(), 1u);
+  EXPECT_EQ(a.open_connections(), 0u);
+  EXPECT_EQ(w.net.packets_dark(), 13u);
+  EXPECT_EQ(w.sched.run(), 1u);
+  EXPECT_EQ(w.sched.now(), SimTime{} + Duration::seconds(2));
+
+  // Thirteen sent at two sim times: two timers.
+  for (int i = 13; i < 20; ++i) probe_dark(i);
+  w.sched.run_until(w.sched.now() + Duration::millis(100));
+  for (int i = 20; i < 26; ++i) probe_dark(i);
+  EXPECT_EQ(w.sched.pending(), 2u);
+  EXPECT_EQ(a.open_connections(), 0u);
+  EXPECT_EQ(w.sched.run(), 2u);
+
+  std::vector<int> sent(26);
+  for (int i = 0; i < 26; ++i) sent[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(timed_out, sent);
+}
+
+TEST(Host, ProbeRejectsFallingDeadlinesAndNonPositiveTimeouts) {
+  TestWorld w;
+  Host a(w.net, net::Ipv4{10, 0, 0, 1});
+  std::vector<net::Port> syn_ports;
+  a.set_tap([&](const net::Packet& p, bool) { syn_ports.push_back(p.src_port); });
+  const net::Endpoint dark{net::Ipv4{66, 0, 0, 1}, 80};
+  int calls = 0;
+  const auto count = [&calls](ConnectOutcome, TcpConn*) { ++calls; };
+  a.tcp_probe(dark, count, Duration::seconds(2));
+  EXPECT_THROW(a.tcp_probe(dark, count, Duration::seconds(1)), std::invalid_argument);
+  EXPECT_THROW(a.tcp_probe(dark, count, Duration{}), std::invalid_argument);
+  EXPECT_THROW(a.tcp_probe(dark, ConnectHandler{}, Duration::seconds(3)),
+               std::invalid_argument);
+  a.tcp_probe(dark, count, Duration::seconds(3));
+  // A rejected probe took no port and sent nothing.
+  EXPECT_EQ(syn_ports, (std::vector<net::Port>{49152, 49153}));
+  w.sched.run();
+  EXPECT_EQ(calls, 2);
+}
+
 // --- TCP ---------------------------------------------------------------------
 
 TEST(Tcp, HandshakeAndData) {
@@ -585,6 +681,111 @@ TEST(Tcp, LateSynAckAfterConnectTimeoutIsReset) {
   EXPECT_EQ(outcome, ConnectOutcome::kTimeout);
   EXPECT_EQ(client.open_connections(), 0u);
   EXPECT_EQ(server.open_connections(), 0u);
+}
+
+TEST(Tcp, LateSynAckAfterProbeTimeoutIsReset) {
+  // As for a connect: the probe gives up before the SYN-ACK arrives, so the
+  // late SYN-ACK meets no probe and no connection and is answered with RST.
+  TestWorld w;
+  Host server(w.net, net::Ipv4{10, 0, 0, 1});
+  Host client(w.net, net::Ipv4{10, 0, 0, 2});
+  server.tcp_listen(80, [&](TcpConn&) { FAIL() << "accept must not fire"; });
+  int callbacks = 0;
+  ConnectOutcome outcome{};
+  client.tcp_probe({server.addr(), 80},
+                   [&](ConnectOutcome o, TcpConn*) {
+                     ++callbacks;
+                     outcome = o;
+                   },
+                   Duration::millis(1));
+  w.sched.run();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(outcome, ConnectOutcome::kTimeout);
+  EXPECT_EQ(client.open_connections(), 0u);
+  EXPECT_EQ(server.open_connections(), 0u);
+}
+
+TEST(Tcp, ProbeIgnoresStraySegments) {
+  // A SYN-SENT connection acts only on a SYN-ACK or a RST, so a bare ACK or
+  // a data segment to an outstanding probe gets no reply and no outcome.
+  TestWorld w;
+  Host prober(w.net, net::Ipv4{10, 0, 0, 1});
+  Host target(w.net, net::Ipv4{10, 0, 0, 2});
+  // Nothing listens on the target; drop its RST so the probe stays open.
+  target.set_outbound_filter([](net::Packet& p) { return !p.flags.rst; });
+  std::vector<net::Packet> sent;
+  prober.set_tap([&](const net::Packet& p, bool outbound) {
+    if (outbound) sent.push_back(p);
+  });
+  int callbacks = 0;
+  ConnectOutcome outcome{};
+  SimTime resolved{};
+  prober.tcp_probe({target.addr(), 80},
+                   [&](ConnectOutcome o, TcpConn*) {
+                     ++callbacks;
+                     outcome = o;
+                     resolved = w.sched.now();
+                   },
+                   Duration::seconds(2));
+  ASSERT_EQ(sent.size(), 1u);
+  const net::Packet syn = sent[0];
+
+  w.sched.run_until(SimTime{} + Duration::millis(500));
+  const net::Endpoint from{target.addr(), 80};
+  const net::Endpoint to{prober.addr(), syn.src_port};
+  target.send_raw(tcp_segment(from, to,
+                              net::TcpFlags{.syn = false, .ack = true, .fin = false,
+                                            .rst = false, .psh = false},
+                              7, syn.seq + 1));
+  target.send_raw(tcp_segment(from, to,
+                              net::TcpFlags{.syn = false, .ack = true, .fin = false,
+                                            .rst = false, .psh = true},
+                              7, syn.seq + 1, util::to_bytes("hi")));
+  w.sched.run_until(SimTime{} + Duration::millis(1999));
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_EQ(w.net.packets_delivered(), 3u);  // the SYN and both stray segments
+
+  w.sched.run();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(outcome, ConnectOutcome::kTimeout);
+  EXPECT_EQ(resolved, SimTime{} + Duration::seconds(2));
+  EXPECT_EQ(sent.size(), 1u);  // no reply to either stray segment
+  EXPECT_EQ(prober.open_connections(), 0u);
+}
+
+TEST(Tcp, DestroyingAHostWithProbesOutstandingFiresNoHandler) {
+  TestWorld w;
+  Host server(w.net, net::Ipv4{10, 0, 0, 1});
+  server.tcp_listen(80, [](TcpConn&) {});
+  int callbacks = 0;
+  const auto count = [&callbacks](ConnectOutcome, TcpConn*) { ++callbacks; };
+
+  // Destroyed outright: a probe the server will answer, dark ones in two
+  // groups. The answer and both timers find no host.
+  auto prober = std::make_unique<Host>(w.net, net::Ipv4{10, 0, 0, 2});
+  prober->tcp_probe({server.addr(), 80}, count, Duration::seconds(2));
+  prober->tcp_probe({net::Ipv4{66, 0, 0, 1}, 80}, count, Duration::seconds(2));
+  prober->tcp_probe({net::Ipv4{66, 0, 0, 2}, 80}, count, Duration::seconds(3));
+  prober.reset();
+  w.sched.run();
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_TRUE(w.sched.empty());
+
+  // Destroyed by the first handler its group's timer fires: the rest of
+  // the group and the next group stay silent.
+  prober = std::make_unique<Host>(w.net, net::Ipv4{10, 0, 0, 2});
+  for (std::uint8_t i = 1; i <= 3; ++i) {
+    prober->tcp_probe({net::Ipv4{66, 0, 0, i}, 80},
+                      [&](ConnectOutcome, TcpConn*) {
+                        ++callbacks;
+                        prober.reset();
+                      },
+                      Duration::seconds(2));
+  }
+  prober->tcp_probe({net::Ipv4{66, 0, 0, 4}, 80}, count, Duration::seconds(3));
+  w.sched.run();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_TRUE(w.sched.empty());
 }
 
 TEST(Tcp, CloseNotifiesPeer) {
@@ -946,6 +1147,199 @@ TEST(TcpProps, ConnectionsSettleAtLossZero) {
   testkit::CheckConfig cfg;
   cfg.name = "TCP connections settle at loss 0";
   const auto r = testkit::check(ops, connections_settle, cfg);
+  EXPECT_TRUE(r.ok) << r.summary();
+}
+
+namespace {
+
+/// One target of a probe-versus-connect case. `kind` says what answers the
+/// SYN; `a` picks the host and the gap since the previous target's send,
+/// `timeout_us` the timeout and `c` whether the prober closes a connection
+/// it gets and which port a meddler is sent to.
+struct ProbeTarget {
+  enum Kind : std::uint8_t { kListening, kClosed, kDark, kMeddler };
+  Kind kind = kListening;
+  std::uint32_t a = 0;
+  std::uint32_t timeout_us = 0;
+  std::uint32_t c = 0;
+  bool operator==(const ProbeTarget&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ProbeTarget& t) {
+  static const char* const kNames[] = {"listening", "closed", "dark", "meddler"};
+  return os << kNames[t.kind] << '(' << t.a << ',' << t.timeout_us << ',' << t.c << ')';
+}
+
+struct ProbeCase {
+  std::uint32_t loss_permille = 0;
+  std::uint32_t fault_seed = 0;
+  std::vector<ProbeTarget> targets;
+  bool operator==(const ProbeCase&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ProbeCase& c) {
+  os << "loss=" << c.loss_permille << "/1000 fault_seed=" << c.fault_seed << " targets=[";
+  for (std::size_t i = 0; i < c.targets.size(); ++i) {
+    os << (i == 0 ? "" : ", ") << c.targets[i];
+  }
+  return os << ']';
+}
+
+/// What one world saw: each target's outcomes (outcome, time, and the
+/// connection's opened_at or -1), every packet the network accepted, the
+/// network's next random draw and each host's connection count.
+struct SweepTrace {
+  using Outcome = std::tuple<ConnectOutcome, std::int64_t, std::int64_t>;
+  using Wire = std::tuple<std::int64_t, std::uint32_t, std::uint32_t, net::Port, net::Port,
+                          std::uint8_t, std::uint32_t, std::uint32_t, std::size_t>;
+  std::vector<std::vector<Outcome>> outcomes;
+  std::vector<Wire> packets;
+  std::uint32_t next_draw = 0;
+  std::vector<std::size_t> open_connections;
+  bool operator==(const SweepTrace&) const = default;
+};
+
+/// Sends one SYN per target from one prober, by tcp_probe or tcp_connect,
+/// at the same sim times either way, and drains the network.
+SweepTrace sweep(const ProbeCase& c, bool probe) {
+  EventScheduler sched;
+  NetworkConfig cfg;
+  cfg.loss = c.loss_permille / 1000.0;
+  Network net(sched, cfg);
+  SweepTrace trace;
+  net.set_global_tap([&trace](const net::Packet& p) {
+    trace.packets.emplace_back(p.time.us, p.src.value, p.dst.value, p.src_port, p.dst_port,
+                               p.flags.to_byte(), p.seq, p.ack_num, p.payload.size());
+  });
+  // Duplicates, reorders and latency spikes up to the hostile chaos
+  // profile's largest (1.5 s), drawn from the hook's own stream.
+  util::Rng fault_rng(c.fault_seed);
+  net.set_fault_hook([&fault_rng](net::Packet&) {
+    FaultVerdict v;
+    const std::uint64_t roll = fault_rng.uniform(0, 99);
+    if (roll < 5) {
+      v.duplicates = 1 + static_cast<int>(roll % 2);
+    } else if (roll < 10) {
+      v.reorder = true;
+    } else if (roll < 15) {
+      v.extra_latency =
+          Duration::micros(static_cast<std::int64_t>(fault_rng.uniform(0, 1'500'000)));
+    }
+    return v;
+  });
+
+  Host prober(net, net::Ipv4{10, 0, 0, 1});
+  Host h1(net, net::Ipv4{10, 0, 1, 1});
+  Host h2(net, net::Ipv4{10, 0, 1, 2});
+  Host h3(net, net::Ipv4{10, 0, 1, 3});
+  Host meddler(net, net::Ipv4{10, 0, 2, 1});
+  const std::array<Host*, 3> live{&h1, &h2, &h3};
+  for (Host* h : {&h1, &h2, &h3, &meddler}) {
+    h->tcp_listen(80, [](TcpConn& conn) { conn.send(std::string_view("banner")); });
+  }
+  // The meddler meets each SYN with a stray segment before its own answer:
+  // a bare ACK or a data segment.
+  meddler.set_tap([&meddler](const net::Packet& p, bool outbound) {
+    if (outbound || !p.flags.syn || p.flags.ack) return;
+    const bool data = p.src_port % 2 == 1;
+    meddler.send_raw(tcp_segment(
+        p.destination(), p.source(),
+        net::TcpFlags{.syn = false, .ack = true, .fin = false, .rst = false, .psh = data},
+        p.seq ^ 0x5a5a5a5aU, p.seq + 1, data ? util::to_bytes("x") : util::Bytes{}));
+  });
+
+  trace.outcomes.resize(c.targets.size());
+  SimTime at{};
+  SimTime last_deadline{};
+  for (std::size_t i = 0; i < c.targets.size(); ++i) {
+    const ProbeTarget& t = c.targets[i];
+    // A third of the timeouts are the scout's 2 s; the rest span 1 ms-5 s.
+    const Duration timeout = t.timeout_us % 3 == 0
+                                 ? Duration::seconds(2)
+                                 : Duration::micros(1000 + t.timeout_us % 4'999'001);
+    // Half the targets go out with the previous one. Deadlines may not
+    // fall from one probe to the next, so a target whose timeout would end
+    // before the previous one's waits until it does not.
+    const Duration gap = t.a % 2 == 0 ? Duration{} : Duration::millis(t.a % 300);
+    at = std::max(at + gap, last_deadline - timeout);
+    last_deadline = at + timeout;
+    sched.run_until(at);
+
+    net::Endpoint remote;
+    switch (t.kind) {
+      case ProbeTarget::kListening:
+        remote = {live[t.a % 3]->addr(), 80};
+        break;
+      case ProbeTarget::kClosed:
+        remote = {live[t.a % 3]->addr(), 81};
+        break;
+      case ProbeTarget::kDark:
+        remote = {net::Ipv4{10, 9, 9, static_cast<std::uint8_t>(1 + t.a % 3)}, 80};
+        break;
+      case ProbeTarget::kMeddler:
+        remote = {meddler.addr(), static_cast<net::Port>(t.c % 4 < 2 ? 80 : 81)};
+        break;
+    }
+    ConnectHandler handler = [&trace, &sched, i, close = t.c % 2 == 1](ConnectOutcome o,
+                                                                       TcpConn* conn) {
+      trace.outcomes[i].emplace_back(o, sched.now().us,
+                                     conn != nullptr ? conn->opened_at().us : -1);
+      if (conn != nullptr && close) conn->close();
+    };
+    if (probe) {
+      prober.tcp_probe(remote, std::move(handler), timeout);
+    } else {
+      prober.tcp_connect(remote, std::move(handler), timeout);
+    }
+  }
+  sched.run();
+  trace.next_draw = net.rng()();
+  for (const Host* h : {&prober, &h1, &h2, &h3, &meddler}) {
+    trace.open_connections.push_back(h->open_connections());
+  }
+  return trace;
+}
+
+/// tcp_probe is tcp_connect without the up-front connection: the same
+/// outcome at the same time for every target, the same packets on the
+/// wire, the same random draws and the same connections left behind.
+bool probe_reports_what_connect_reports(const ProbeCase& c) {
+  const SweepTrace connected = sweep(c, false);
+  const SweepTrace probed = sweep(c, true);
+  for (const auto& outcomes : probed.outcomes) {
+    if (outcomes.size() != 1) return false;
+  }
+  return probed == connected;
+}
+
+}  // namespace
+
+TEST(TcpProps, ProbeReportsWhatConnectReports) {
+  const auto targets = testkit::vectors_of(
+      testkit::apply(
+          [](ProbeTarget::Kind kind, std::uint32_t a, std::uint32_t timeout_us,
+             std::uint32_t c) {
+            return ProbeTarget{kind, a, timeout_us, c};
+          },
+          testkit::weighted<ProbeTarget::Kind>({{3, ProbeTarget::kListening},
+                                                {2, ProbeTarget::kClosed},
+                                                {3, ProbeTarget::kDark},
+                                                {2, ProbeTarget::kMeddler}}),
+          testkit::ints<std::uint32_t>(0, 1000),
+          testkit::ints<std::uint32_t>(0, 5'000'000),
+          testkit::ints<std::uint32_t>(0, 1000)),
+      0, 40);
+  // One case in five is lossless; the rest lose up to 40% of packets.
+  const auto cases = testkit::apply(
+      [](std::uint32_t loss, std::uint32_t fault_seed, std::vector<ProbeTarget> t) {
+        return ProbeCase{loss < 100 ? 0 : loss - 100, fault_seed, std::move(t)};
+      },
+      testkit::ints<std::uint32_t>(0, 500), testkit::ints<std::uint32_t>(0, 1'000'000),
+      targets);
+  testkit::CheckConfig cfg;
+  cfg.name = "tcp_probe reports what tcp_connect reports";
+  cfg.cases = 500;
+  const auto r = testkit::check(cases, probe_reports_what_connect_reports, cfg);
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
