@@ -87,34 +87,42 @@ void ProbeCampaign::run_round(int round) {
     done_(std::move(result_));
     return;
   }
-  auto state = std::make_shared<Round>();
-  state->round = round;
-  state->start_sim_us = net_.now().us;
+  // Only one round runs at a time, and every closure that refers to it
+  // has fired before it finishes: the round engages its candidates only
+  // after every scout probe and banner wait has reported, and finishes
+  // only after its last engagement has. So closures reach the round
+  // through `this`, and the next round replaces it.
+  round_ = std::make_unique<Round>();
+  Round& state = *round_;
+  state.round = round;
+  state.start_sim_us = net_.now().us;
   for (const auto& subnet : cfg_.subnets) {
     for (std::uint32_t h = 1; h + 1 < subnet.size(); ++h) {
       for (const auto port : cfg_.ports) {
-        state->queue.push_back({subnet.host(h), port});
+        state.queue.push_back({subnet.host(h), port});
       }
     }
   }
-  scout_next(state);
+  scout_next();
 }
 
-void ProbeCampaign::scout_next(std::shared_ptr<Round> state) {
+void ProbeCampaign::scout_next() {
+  Round& state = *round_;
   // Issue one 100 ms batch of scout probes: stateless SYNs that make a
   // connection only for a target that answers.
   const auto batch = static_cast<std::size_t>(cfg_.scout_rate_pps / 10.0) + 1;
-  for (std::size_t i = 0; i < batch && state->next < state->queue.size(); ++i) {
-    const net::Endpoint target = state->queue[state->next++];
+  for (std::size_t i = 0; i < batch && state.next < state.queue.size(); ++i) {
+    const net::Endpoint target = state.queue[state.next++];
     ++result_.scout_probes;
-    ++state->outstanding;
+    ++state.outstanding;
     scout_->tcp_probe(
         target,
-        [this, state, target](sim::ConnectOutcome outcome, sim::TcpConn* conn) {
+        [this, target](sim::ConnectOutcome outcome, sim::TcpConn* conn) {
+          Round& state = *round_;
           if (outcome != sim::ConnectOutcome::kConnected || conn == nullptr) {
-            --state->outstanding;
-            if (state->scouting_done && state->outstanding == 0) {
-              engage_candidates(state);
+            --state.outstanding;
+            if (state.scouting_done && state.outstanding == 0) {
+              engage_candidates();
             }
             return;
           }
@@ -124,77 +132,79 @@ void ProbeCampaign::scout_next(std::shared_ptr<Round> state) {
             banner->append(reinterpret_cast<const char*>(data.data()), data.size());
           });
           sim::TcpConn* conn_ptr = conn;
-          scout_->schedule_safe(cfg_.banner_wait, [this, state, target, banner,
-                                                   conn_ptr]() {
+          scout_->schedule_safe(cfg_.banner_wait, [this, target, banner, conn_ptr]() {
+            Round& state = *round_;
             if (conn_ptr->established()) conn_ptr->close();
             if (!banner->empty() && inetsim::is_well_known_banner(*banner)) {
               ++result_.banner_filtered;
             } else {
-              state->candidates.push_back(target);
+              state.candidates.push_back(target);
             }
-            --state->outstanding;
-            if (state->scouting_done && state->outstanding == 0) {
-              engage_candidates(state);
+            --state.outstanding;
+            if (state.scouting_done && state.outstanding == 0) {
+              engage_candidates();
             }
           });
         },
         sim::Duration::seconds(2));
   }
-  if (state->next < state->queue.size()) {
-    scout_->schedule_safe(sim::Duration::millis(100),
-                          [this, state]() { scout_next(state); });
+  if (state.next < state.queue.size()) {
+    scout_->schedule_safe(sim::Duration::millis(100), [this]() { scout_next(); });
   } else {
-    state->scouting_done = true;
-    if (state->outstanding == 0) engage_candidates(state);
+    state.scouting_done = true;
+    if (state.outstanding == 0) engage_candidates();
   }
 }
 
-void ProbeCampaign::engage_candidates(std::shared_ptr<Round> state) {
-  if (state->next_candidate >= state->candidates.size()) {
-    finish_round(state);
+void ProbeCampaign::engage_candidates() {
+  Round& state = *round_;
+  if (state.next_candidate >= state.candidates.size()) {
+    finish_round();
     return;
   }
-  const net::Endpoint target = state->candidates[state->next_candidate];
-  if (state->weapon_idx >= weapons_.size()) {
+  const net::Endpoint target = state.candidates[state.next_candidate];
+  if (state.weapon_idx >= weapons_.size()) {
     // No weapon engaged this target; move on.
-    state->weapon_idx = 0;
-    ++state->next_candidate;
-    engage_candidates(state);
+    state.weapon_idx = 0;
+    ++state.next_candidate;
+    engage_candidates();
     return;
   }
-  const Weapon& weapon = weapons_[state->weapon_idx];
+  const Weapon& weapon = weapons_[state.weapon_idx];
   ++result_.weapon_runs;
-  probe_liveness(sandbox_, weapon, target, [this, state, target](LivenessResult res) {
+  probe_liveness(sandbox_, weapon, target, [this, target](LivenessResult res) {
+    Round& state = *round_;
     if (res.engaged) {
-      state->responsive.insert(target);
-      state->weapon_idx = 0;
-      ++state->next_candidate;
+      state.responsive.insert(target);
+      state.weapon_idx = 0;
+      ++state.next_candidate;
     } else {
-      ++state->weapon_idx;
+      ++state.weapon_idx;
     }
-    engage_candidates(state);
+    engage_candidates();
   });
 }
 
-void ProbeCampaign::finish_round(std::shared_ptr<Round> state) {
+void ProbeCampaign::finish_round() {
+  const Round& state = *round_;
   // Record this round's outcome for every target we have ever seen listen.
-  for (const auto& ep : state->candidates) {
+  for (const auto& ep : state.candidates) {
     full_raster_.try_emplace(ep, std::vector<bool>(static_cast<std::size_t>(cfg_.rounds)));
   }
   for (auto& [ep, bits] : full_raster_) {
-    bits[static_cast<std::size_t>(state->round)] = state->responsive.count(ep) > 0;
+    bits[static_cast<std::size_t>(state.round)] = state.responsive.count(ep) > 0;
   }
   if (cfg_.obs != nullptr) {
     cfg_.obs->registry.counter("campaign.rounds").inc();
     if (cfg_.obs->tracer.enabled()) {
-      std::string args = "\"round\":" + std::to_string(state->round) +
-                         ",\"candidates\":" + std::to_string(state->candidates.size()) +
-                         ",\"responsive\":" + std::to_string(state->responsive.size());
-      cfg_.obs->tracer.complete("campaign:round " + std::to_string(state->round),
-                                "campaign", state->start_sim_us, args);
+      std::string args = "\"round\":" + std::to_string(state.round) +
+                         ",\"candidates\":" + std::to_string(state.candidates.size()) +
+                         ",\"responsive\":" + std::to_string(state.responsive.size());
+      cfg_.obs->tracer.complete("campaign:round " + std::to_string(state.round),
+                                "campaign", state.start_sim_us, args);
     }
   }
-  const int next_round = state->round + 1;
+  const int next_round = state.round + 1;
   scout_->schedule_safe(cfg_.interval, [this, next_round]() { run_round(next_round); });
 }
 

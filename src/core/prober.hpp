@@ -88,9 +88,9 @@ class ProbeCampaign {
   struct Round;
 
   void run_round(int round);
-  void scout_next(std::shared_ptr<Round> state);
-  void engage_candidates(std::shared_ptr<Round> state);
-  void finish_round(std::shared_ptr<Round> state);
+  void scout_next();
+  void engage_candidates();
+  void finish_round();
 
   sim::Network& net_;
   emu::Sandbox& sandbox_;
@@ -98,6 +98,7 @@ class ProbeCampaign {
   std::vector<Weapon> weapons_;
   std::function<void(ProbeCampaignResult)> done_;
   std::unique_ptr<sim::Host> scout_;
+  std::unique_ptr<Round> round_;  // the round in progress
   ProbeCampaignResult result_;
   std::map<net::Endpoint, std::vector<bool>> full_raster_;  // all candidates
 };

@@ -236,7 +236,9 @@ void Host::expire_probes(SimTime sent_at, SimTime deadline,
 }
 
 Host::Probe* Host::find_probe(const ConnKey& key) {
-  for (std::size_t i = 0; i < probe_count_; ++i) {
+  // An answer comes back within a round trip or so, which puts its probe
+  // among the newest few batches: search from the back.
+  for (std::size_t i = probe_count_; i-- > 0;) {
     Probe& probe = probe_at(i);
     if (probe.local_port == key.first && probe.remote == key.second && probe.on_connect) {
       return &probe;

@@ -41,8 +41,9 @@ enum class ConnectOutcome {
 class TcpConn;
 
 /// Fires exactly once per Host::tcp_connect or Host::tcp_probe, unless the
-/// host is destroyed first. The inline buffer holds the probe campaign's
-/// scout closure (campaign, round state, target: 32 bytes).
+/// host is destroyed first. The inline buffer holds the sandbox guests'
+/// connect closures and the probe campaign's scout closure (campaign and
+/// target: 16 bytes).
 using ConnectHandler = util::InlineFunction<void(ConnectOutcome, TcpConn*), 48>;
 
 /// Builds one TCP segment from `from` to `to`. Every segment the simulator
