@@ -358,8 +358,8 @@ void Host::handle_tcp(const net::Packet& p) {
     // segment such as a SYN-ACK that arrives after its connect timed out.
     // Answer with RST (RFC 793 §3.4), which also frees the peer's
     // half-open connection.
-    net::TcpFlags flags{.syn = false, .ack = !p.flags.ack, .fin = false, .rst = true,
-                        .psh = false};
+    const net::TcpFlags flags{.syn = false, .ack = !p.flags.ack, .fin = false,
+                              .rst = true, .psh = false};
     const std::uint32_t seq = p.flags.ack ? p.ack_num : 0;
     const std::uint32_t ack_num =
         p.flags.ack ? 0

@@ -46,9 +46,9 @@ class TcpConn;
 /// target: 16 bytes).
 using ConnectHandler = util::InlineFunction<void(ConnectOutcome, TcpConn*), 48>;
 
-/// Builds one TCP segment from `from` to `to`. Every segment the simulator
-/// sends is made here: a connection's, a probe's SYN and a RST answering a
-/// segment no connection owns.
+/// Builds one TCP segment from `from` to `to`. Every segment the hosts' TCP
+/// stack sends is made here: a connection's, a probe's SYN and the RST
+/// answering a segment no connection owns.
 [[nodiscard]] net::Packet tcp_segment(net::Endpoint from, net::Endpoint to,
                                       net::TcpFlags flags, std::uint32_t seq,
                                       std::uint32_t ack_num,

@@ -663,46 +663,30 @@ TEST(Tcp, LateSynAckAfterConnectTimeoutIsReset) {
   // The connect gives up before the SYN-ACK can arrive (one-way latency is
   // at least 5 ms). The client has forgotten the connection, so it must
   // answer the late SYN-ACK with RST; otherwise the server's half-open
-  // connection lives forever.
-  TestWorld w;
-  Host server(w.net, net::Ipv4{10, 0, 0, 1});
-  Host client(w.net, net::Ipv4{10, 0, 0, 2});
-  server.tcp_listen(80, [&](TcpConn&) { FAIL() << "accept must not fire"; });
-  int callbacks = 0;
-  ConnectOutcome outcome{};
-  client.tcp_connect({server.addr(), 80},
-                     [&](ConnectOutcome o, TcpConn*) {
-                       ++callbacks;
-                       outcome = o;
-                     },
-                     Duration::millis(1));
-  w.sched.run();
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_EQ(outcome, ConnectOutcome::kTimeout);
-  EXPECT_EQ(client.open_connections(), 0u);
-  EXPECT_EQ(server.open_connections(), 0u);
-}
-
-TEST(Tcp, LateSynAckAfterProbeTimeoutIsReset) {
-  // As for a connect: the probe gives up before the SYN-ACK arrives, so the
-  // late SYN-ACK meets no probe and no connection and is answered with RST.
-  TestWorld w;
-  Host server(w.net, net::Ipv4{10, 0, 0, 1});
-  Host client(w.net, net::Ipv4{10, 0, 0, 2});
-  server.tcp_listen(80, [&](TcpConn&) { FAIL() << "accept must not fire"; });
-  int callbacks = 0;
-  ConnectOutcome outcome{};
-  client.tcp_probe({server.addr(), 80},
-                   [&](ConnectOutcome o, TcpConn*) {
-                     ++callbacks;
-                     outcome = o;
-                   },
-                   Duration::millis(1));
-  w.sched.run();
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_EQ(outcome, ConnectOutcome::kTimeout);
-  EXPECT_EQ(client.open_connections(), 0u);
-  EXPECT_EQ(server.open_connections(), 0u);
+  // connection lives forever. A probe that timed out is forgotten alike.
+  for (const bool probe : {false, true}) {
+    SCOPED_TRACE(probe ? "tcp_probe" : "tcp_connect");
+    TestWorld w;
+    Host server(w.net, net::Ipv4{10, 0, 0, 1});
+    Host client(w.net, net::Ipv4{10, 0, 0, 2});
+    server.tcp_listen(80, [&](TcpConn&) { FAIL() << "accept must not fire"; });
+    int callbacks = 0;
+    ConnectOutcome outcome{};
+    ConnectHandler handler = [&](ConnectOutcome o, TcpConn*) {
+      ++callbacks;
+      outcome = o;
+    };
+    if (probe) {
+      client.tcp_probe({server.addr(), 80}, std::move(handler), Duration::millis(1));
+    } else {
+      client.tcp_connect({server.addr(), 80}, std::move(handler), Duration::millis(1));
+    }
+    w.sched.run();
+    EXPECT_EQ(callbacks, 1);
+    EXPECT_EQ(outcome, ConnectOutcome::kTimeout);
+    EXPECT_EQ(client.open_connections(), 0u);
+    EXPECT_EQ(server.open_connections(), 0u);
+  }
 }
 
 TEST(Tcp, ProbeIgnoresStraySegments) {
