@@ -173,8 +173,8 @@ void Host::tcp_connect(net::Endpoint remote, ConnectHandler cb, Duration timeout
 void Host::tcp_probe(net::Endpoint remote, ConnectHandler cb, Duration timeout) {
   if (!cb) throw std::invalid_argument("tcp_probe: null handler");
   const SimTime deadline = now() + timeout;
-  if (timeout <= Duration{} ||
-      (probe_count_ > 0 && deadline < probe_at(probe_count_ - 1).deadline)) {
+  const Probe* last = probe_count_ > 0 ? &probe_at(probe_count_ - 1) : nullptr;
+  if (timeout <= Duration{} || (last != nullptr && deadline < last->deadline)) {
     throw std::invalid_argument(
         "tcp_probe: timeout not positive or deadline before the previous probe's");
   }
@@ -183,19 +183,18 @@ void Host::tcp_probe(net::Endpoint remote, ConnectHandler cb, Duration timeout) 
   const std::uint32_t iss = net_.rng()();
   hold_port(local_port);
 
-  // A probe sent at the same time, with the same deadline, as the previous
-  // one joins its group, whose timer fires at the id position of the
-  // group's first timeout under tcp_connect. The probes after the first
-  // would each have had their own timeout event at that same time, a few
-  // ids later. That is exact when nothing scheduled between the group's
+  // A probe sent at the same time as the previous one, with the same
+  // deadline, joins that probe's group. Otherwise it starts a group, whose
+  // one timer is scheduled here, before the SYN, so it takes the event id
+  // this probe's own timeout would have had under tcp_connect. The group's
+  // later probes would each have had a timeout at the same time a few ids
+  // on, so sharing is exact when nothing scheduled between the group's
   // probes fires at the deadline. The scout's batches meet this: between
   // their probes only the batch's SYN deliveries are scheduled, and each
   // lands at most max_latency (120 ms) plus a fault-injected latency spike
-  // (1.5 s at most) after sending, before the 2 s timeout; the fault hook
+  // (1.5 s) after sending, before the 2 s timeout; the fault hook
   // schedules nothing.
-  const bool joins = probe_count_ > 0 && probe_at(probe_count_ - 1).sent_at == now() &&
-                     probe_at(probe_count_ - 1).deadline == deadline;
-  if (!joins) {
+  if (last == nullptr || last->sent_at != now() || last->deadline != deadline) {
     auto time_out = [this, sent_at = now(), deadline,
                      w = std::weak_ptr<const bool>(lifetime_)]() {
       if (!w.expired()) expire_probes(sent_at, deadline, w);
