@@ -50,75 +50,4 @@ bool looks_like_dht(util::BytesView wire) {
   return s.rfind("d1:ad2:id20:", 0) == 0 || s.rfind("d1:rd2:id20:", 0) == 0;
 }
 
-util::Bytes encode_get_peers(const GetPeers& msg) {
-  if (msg.node_id.size() != 20) throw std::invalid_argument("p2p: node id != 20 bytes");
-  if (msg.txn.size() != 2) throw std::invalid_argument("p2p: txn != 2 bytes");
-  std::string s;
-  s += "d1:ad2:id20:";
-  s += msg.node_id;
-  s += "e1:q9:get_peers1:t2:";
-  s += msg.txn;
-  s += "1:y1:qe";
-  return util::to_bytes(s);
-}
-
-std::optional<GetPeers> decode_get_peers(util::BytesView wire) {
-  const std::string s = util::to_string(wire);
-  if (s.rfind(kPingPrefix, 0) != 0) return std::nullopt;
-  if (s.find("1:q9:get_peers") == std::string::npos) return std::nullopt;
-  if (s.size() < kPingPrefix.size() + 20) return std::nullopt;
-  GetPeers msg;
-  msg.node_id = s.substr(kPingPrefix.size(), 20);
-  const auto t = s.find("1:t2:");
-  if (t == std::string::npos || t + 7 > s.size()) return std::nullopt;
-  msg.txn = s.substr(t + 5, 2);
-  return msg;
-}
-
-util::Bytes encode_peers_reply(const PeersReply& msg) {
-  if (msg.node_id.size() != 20) throw std::invalid_argument("p2p: node id != 20 bytes");
-  if (msg.txn.size() != 2) throw std::invalid_argument("p2p: txn != 2 bytes");
-  if (msg.peers.size() > 64) throw std::invalid_argument("p2p: too many peers");
-  std::string s;
-  s += "d1:rd2:id20:";
-  s += msg.node_id;
-  s += "6:valuesl";
-  for (const auto& p : msg.peers) {
-    s += std::to_string(6) + ":";
-    for (int i = 0; i < 4; ++i) s += static_cast<char>(p.ip.octet(i));
-    s += static_cast<char>(p.port >> 8);
-    s += static_cast<char>(p.port & 0xFF);
-  }
-  s += "ee1:t2:";
-  s += msg.txn;
-  s += "1:y1:re";
-  return util::to_bytes(s);
-}
-
-std::optional<PeersReply> decode_peers_reply(util::BytesView wire) {
-  const std::string s = util::to_string(wire);
-  static constexpr std::string_view kPrefix = "d1:rd2:id20:";
-  if (s.rfind(kPrefix, 0) != 0) return std::nullopt;
-  if (s.size() < kPrefix.size() + 20) return std::nullopt;
-  PeersReply msg;
-  msg.node_id = s.substr(kPrefix.size(), 20);
-  const auto values = s.find("6:valuesl");
-  if (values == std::string::npos) return std::nullopt;
-  std::size_t pos = values + 9;
-  while (pos + 2 <= s.size() && s.compare(pos, 2, "6:") == 0) {
-    if (pos + 8 > s.size()) return std::nullopt;
-    const auto* b = reinterpret_cast<const unsigned char*>(s.data() + pos + 2);
-    net::Endpoint ep;
-    ep.ip = net::Ipv4{b[0], b[1], b[2], b[3]};
-    ep.port = static_cast<net::Port>((b[4] << 8) | b[5]);
-    msg.peers.push_back(ep);
-    pos += 8;
-  }
-  if (pos >= s.size() || s[pos] != 'e') return std::nullopt;  // list terminator
-  const auto t = s.find("1:t2:", pos);
-  if (t == std::string::npos || t + 7 > s.size()) return std::nullopt;
-  msg.txn = s.substr(t + 5, 2);
-  return msg;
-}
-
 }  // namespace malnet::proto::p2p

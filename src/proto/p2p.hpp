@@ -1,16 +1,15 @@
-// Minimal DHT-style peer-to-peer messages for Mozi and Hajime (Table 6).
-// Modelled after the bencoded KRPC pings Mozi inherits from BitTorrent DHT.
-// These families have no central C2, so the D-C2s pipeline filters them
-// out (§2.3a) — but they must still *emit* recognisable P2P traffic for
-// that filter to have something to recognise.
+// Minimal DHT-style peer-to-peer messages for Mozi and Hajime (Table 6):
+// the bencoded KRPC ping and pong Mozi inherits from BitTorrent DHT, which
+// the sandbox's P2P guests send and answer (emu/malproc.cpp). These
+// families have no central C2, so the D-C2s pipeline filters them out by
+// label (§2.3a) — but they must still *emit* recognisable P2P traffic for
+// the sandbox capture to show. Peer exchange (get_peers) is not modelled:
+// the study never walks a P2P overlay.
 #pragma once
 
 #include <optional>
 #include <string>
 
-#include <vector>
-
-#include "net/ipv4.hpp"
 #include "util/bytes.hpp"
 
 namespace malnet::proto::p2p {
@@ -29,28 +28,5 @@ struct DhtPing {
 
 /// Cheap classifier: does this datagram look like DHT/KRPC traffic?
 [[nodiscard]] bool looks_like_dht(util::BytesView wire);
-
-// --- peer exchange (get_peers / nodes reply) ---------------------------------
-// Enough DHT surface for overlay crawling — the natural next step after the
-// paper's P2P filter-out (§2.3a): instead of discarding Mozi/Hajime
-// samples, walk their overlay (see core/p2p_crawl.hpp).
-
-struct GetPeers {
-  std::string node_id;  // 20 bytes
-  std::string txn;      // 2 bytes
-};
-
-/// "d1:ad2:id20:<id>e1:q9:get_peers1:t2:<txn>1:y1:qe"
-[[nodiscard]] util::Bytes encode_get_peers(const GetPeers& msg);
-[[nodiscard]] std::optional<GetPeers> decode_get_peers(util::BytesView wire);
-
-struct PeersReply {
-  std::string node_id;
-  std::string txn;
-  std::vector<net::Endpoint> peers;  // compact 6-byte entries on the wire
-};
-
-[[nodiscard]] util::Bytes encode_peers_reply(const PeersReply& msg);
-[[nodiscard]] std::optional<PeersReply> decode_peers_reply(util::BytesView wire);
 
 }  // namespace malnet::proto::p2p

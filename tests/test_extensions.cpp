@@ -1,15 +1,11 @@
 // Extension features beyond the paper's evaluation: actionable-rule export
-// (§1 "Potential Impact"), multi-architecture sandbox gating (§6d) and the
-// P2P overlay crawler (the natural follow-up to §2.3a's P2P filter).
+// (§1 "Potential Impact") and multi-architecture sandbox gating (§6d).
 #include <gtest/gtest.h>
 
-#include "botnet/p2p_overlay.hpp"
-#include "core/p2p_crawl.hpp"
 #include "core/pipeline.hpp"
 #include "emu/attackgen.hpp"
 #include "emu/sandbox.hpp"
 #include "mal/binary.hpp"
-#include "proto/p2p.hpp"
 #include "report/rules_export.hpp"
 
 using namespace malnet;
@@ -170,131 +166,6 @@ TEST(MultiArch, ExtendedSandboxRunsArm) {
   sched.run_until(sched.now() + sim::Duration::minutes(12));
   EXPECT_FALSE(report.unsupported_arch);
   EXPECT_TRUE(report.activated);
-}
-
-// --- P2P overlay + crawler -------------------------------------------------------
-
-TEST(P2pOverlay, NodesAnswerPingAndPeerExchange) {
-  sim::EventScheduler sched;
-  sim::Network net(sched);
-  botnet::OverlayConfig cfg;
-  cfg.node_count = 8;
-  cfg.availability = 1.0;
-  auto overlay = botnet::build_overlay(net, cfg);
-  ASSERT_EQ(overlay.nodes.size(), 8u);
-  ASSERT_FALSE(overlay.bootstrap.empty());
-
-  sim::Host probe(net, net::Ipv4{192, 0, 2, 77});
-  std::vector<net::Endpoint> got;
-  const net::Port local = 40000;
-  probe.udp_bind(local, [&](const net::Packet& p) {
-    if (const auto reply = proto::p2p::decode_peers_reply(p.payload)) {
-      got = reply->peers;
-    }
-  });
-  probe.udp_send(overlay.nodes[0]->endpoint(),
-                 proto::p2p::encode_get_peers({std::string(20, 'C'), "q1"}), local);
-  sched.run();
-  ASSERT_FALSE(got.empty());
-  EXPECT_EQ(got.front(), overlay.nodes[1]->endpoint());  // ring successor
-}
-
-TEST(P2pCrawl, EnumeratesTheWholeOverlay) {
-  sim::EventScheduler sched;
-  sim::Network net(sched);
-  botnet::OverlayConfig cfg;
-  cfg.node_count = 40;
-  cfg.availability = 1.0;
-  auto overlay = botnet::build_overlay(net, cfg);
-
-  sim::Host crawler_host(net, net::Ipv4{192, 0, 2, 88});
-  core::CrawlResult result;
-  bool done = false;
-  core::P2pCrawler crawler(crawler_host, overlay.bootstrap, {},
-                           [&](core::CrawlResult r) {
-                             result = std::move(r);
-                             done = true;
-                           });
-  crawler.start();
-  sched.run_until(sched.now() + sim::Duration::minutes(30));
-  ASSERT_TRUE(done);
-  EXPECT_EQ(result.discovered.size(), 40u) << "ring wiring guarantees full coverage";
-  EXPECT_EQ(result.responsive.size(), 40u);
-  EXPECT_GE(result.queries_sent, 40u);
-}
-
-TEST(P2pCrawl, ChurnReducesResponsiveButRetriesRecoverCoverage) {
-  sim::EventScheduler sched;
-  sim::Network net(sched);
-  botnet::OverlayConfig cfg;
-  cfg.node_count = 40;
-  cfg.availability = 0.6;  // churny overlay
-  auto overlay = botnet::build_overlay(net, cfg);
-
-  sim::Host crawler_host(net, net::Ipv4{192, 0, 2, 88});
-  core::CrawlConfig ccfg;
-  ccfg.retries_per_peer = 3;
-  core::CrawlResult result;
-  bool done = false;
-  core::P2pCrawler crawler(crawler_host, overlay.bootstrap, ccfg,
-                           [&](core::CrawlResult r) {
-                             result = std::move(r);
-                             done = true;
-                           });
-  crawler.start();
-  sched.run_until(sched.now() + sim::Duration::hours(2));
-  ASSERT_TRUE(done);
-  EXPECT_GT(result.discovered.size(), 25u);  // most of the 40 despite churn
-  EXPECT_LE(result.responsive.size(), result.discovered.size());
-}
-
-TEST(P2pCrawl, RespectsDiscoveryCap) {
-  sim::EventScheduler sched;
-  sim::Network net(sched);
-  botnet::OverlayConfig cfg;
-  cfg.node_count = 30;
-  cfg.availability = 1.0;
-  auto overlay = botnet::build_overlay(net, cfg);
-
-  sim::Host crawler_host(net, net::Ipv4{192, 0, 2, 88});
-  core::CrawlConfig ccfg;
-  ccfg.max_peers = 10;
-  core::CrawlResult result;
-  bool done = false;
-  core::P2pCrawler crawler(crawler_host, overlay.bootstrap, ccfg,
-                           [&](core::CrawlResult r) {
-                             result = std::move(r);
-                             done = true;
-                           });
-  crawler.start();
-  sched.run_until(sched.now() + sim::Duration::minutes(30));
-  ASSERT_TRUE(done);
-  EXPECT_LE(result.discovered.size(), 10u);  // hard cap
-}
-
-TEST(P2pProto, GetPeersRoundTrip) {
-  const proto::p2p::GetPeers q{std::string(20, 'A'), "tx"};
-  const auto decoded = proto::p2p::decode_get_peers(proto::p2p::encode_get_peers(q));
-  ASSERT_TRUE(decoded);
-  EXPECT_EQ(decoded->node_id, q.node_id);
-  EXPECT_EQ(decoded->txn, "tx");
-  // A plain ping must NOT decode as get_peers and vice versa.
-  const auto ping = proto::p2p::encode_ping({std::string(20, 'A'), "tx"});
-  EXPECT_FALSE(proto::p2p::decode_get_peers(ping));
-  EXPECT_FALSE(proto::p2p::decode_ping(proto::p2p::encode_get_peers(q)));
-}
-
-TEST(P2pProto, PeersReplyRoundTrip) {
-  proto::p2p::PeersReply reply;
-  reply.node_id = std::string(20, 'B');
-  reply.txn = "zz";
-  reply.peers = {{net::Ipv4{1, 2, 3, 4}, 6881}, {net::Ipv4{250, 9, 0, 255}, 65535}};
-  const auto decoded =
-      proto::p2p::decode_peers_reply(proto::p2p::encode_peers_reply(reply));
-  ASSERT_TRUE(decoded);
-  EXPECT_EQ(decoded->peers, reply.peers);
-  EXPECT_EQ(decoded->txn, "zz");
-  EXPECT_FALSE(proto::p2p::decode_peers_reply(util::to_bytes("junk")));
 }
 
 TEST(RulesExport, AttackParticipationSignatures) {

@@ -190,30 +190,16 @@ TEST(RoundTrip, P2pMessages) {
   CheckConfig cfg;
   cfg.cases = kRoundTripCases;
   cfg.name = "p2p round-trip";
-  const auto ids = ascii_strings(20, 20);
-  const auto txns = ascii_strings(2, 2);
   const auto gen = apply(
-      [](std::string id, std::string txn, std::vector<std::pair<net::Ipv4, net::Port>> ps) {
-        p2p::PeersReply reply;
-        reply.node_id = std::move(id);
-        reply.txn = std::move(txn);
-        for (const auto& [ip, port] : ps) reply.peers.push_back({ip, port});
-        return reply;
+      [](std::string id, std::string txn) {
+        return p2p::DhtPing{std::move(id), std::move(txn)};
       },
-      ids, txns, vectors_of(pair_of(ipv4s(), ints<net::Port>(0, 0xFFFF)), 0, 16));
+      ascii_strings(20, 20), ascii_strings(2, 2));
   const auto r = check(gen,
-                       [](const p2p::PeersReply& reply) {
-                         const auto ping =
-                             p2p::decode_ping(p2p::encode_ping({reply.node_id, reply.txn}));
-                         if (!ping || ping->node_id != reply.node_id || ping->txn != reply.txn)
-                           return false;
-                         const auto gp = p2p::decode_get_peers(
-                             p2p::encode_get_peers({reply.node_id, reply.txn}));
-                         if (!gp || gp->node_id != reply.node_id || gp->txn != reply.txn)
-                           return false;
-                         const auto pr = p2p::decode_peers_reply(p2p::encode_peers_reply(reply));
-                         return pr && pr->node_id == reply.node_id &&
-                                pr->txn == reply.txn && pr->peers == reply.peers;
+                       [](const p2p::DhtPing& ping) {
+                         const auto decoded = p2p::decode_ping(p2p::encode_ping(ping));
+                         return decoded && decoded->node_id == ping.node_id &&
+                                decoded->txn == ping.txn;
                        },
                        cfg);
   EXPECT_TRUE(r.ok) << r.summary();
@@ -249,8 +235,6 @@ TEST(NoCrash, P2pDecoders) {
   const auto r = fuzz_decoder("p2p_",
                               [](util::BytesView wire) {
                                 (void)p2p::decode_ping(wire);
-                                (void)p2p::decode_get_peers(wire);
-                                (void)p2p::decode_peers_reply(wire);
                                 (void)p2p::looks_like_dht(wire);
                                 return true;
                               },
@@ -270,8 +254,6 @@ TEST(ErrorPath, EmptyAndOneByteBuffers) {
                                 if (dialects::any_decoder_accepts(*p, wire)) return false;
                               }
                               return !p2p::decode_ping(wire) &&
-                                     !p2p::decode_get_peers(wire) &&
-                                     !p2p::decode_peers_reply(wire) &&
                                      !p2p::looks_like_dht(wire);
                             },
                             "proto empty/1-byte");

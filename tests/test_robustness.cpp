@@ -150,18 +150,17 @@ TEST(Robustness, HttpParsers) {
 TEST(Robustness, P2pDecoders) {
   const auto decode = [](const util::Bytes& b) {
     (void)proto::p2p::decode_ping(b);
-    (void)proto::p2p::decode_get_peers(b);
-    (void)proto::p2p::decode_peers_reply(b);
     (void)proto::p2p::looks_like_dht(b);
   };
   random_soup(decode, 7);
-  proto::p2p::PeersReply reply;
-  reply.node_id = std::string(20, 'N');
-  reply.txn = "ab";
-  reply.peers = {{net::Ipv4{1, 2, 3, 4}, 6881}};
-  const auto valid = proto::p2p::encode_peers_reply(reply);
-  truncation_sweep(valid, decode);
-  corruption_sweep(valid, decode);
+  // A query-shaped (ping) and a reply-shaped (pong) seed: looks_like_dht
+  // branches on the "d1:ad2:" and "d1:rd2:" prefixes.
+  const proto::p2p::DhtPing ping{std::string(20, 'N'), "ab"};
+  for (const auto& valid :
+       {proto::p2p::encode_ping(ping), proto::p2p::encode_pong(ping)}) {
+    truncation_sweep(valid, decode);
+    corruption_sweep(valid, decode);
+  }
 }
 
 TEST(Robustness, MbfParser) {

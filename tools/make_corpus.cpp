@@ -6,9 +6,8 @@
 //
 //   malnet_make_corpus [output-dir]     (default: tests/corpus)
 //
-// test_testkit's CorpusEntriesAreValid locks the committed files to the
-// decoders; if an encoder legitimately changes, rerun this tool and commit
-// the result.
+// CI regenerates the corpus and `diff -r`s it against tests/corpus; if an
+// encoder legitimately changes, rerun this tool and commit the result.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -116,13 +115,7 @@ int main(int argc, char** argv) {
   // --- P2P (Mozi/Hajime DHT) ---
   const std::string node_id = "MALNET-NODE-0123456@";  // 20 bytes
   write_file(dir / "p2p_ping.bin", proto::p2p::encode_ping({node_id, "aa"}));
-  write_file(dir / "p2p_get_peers.bin",
-             proto::p2p::encode_get_peers({node_id, "gp"}));
-  proto::p2p::PeersReply reply;
-  reply.node_id = node_id;
-  reply.txn = "gp";
-  reply.peers = {{net::Ipv4{203, 0, 113, 20}, 6881}, {net::Ipv4{198, 51, 100, 3}, 6882}};
-  write_file(dir / "p2p_peers_reply.bin", proto::p2p::encode_peers_reply(reply));
+  write_file(dir / "p2p_pong.bin", proto::p2p::encode_pong({node_id, "aa"}));
 
   // --- Family profiles (src/profile) — fuzz seeds for test_profile ---
   write_file(dir / "profile_mirai.json",
