@@ -32,7 +32,8 @@ class PcapWriter {
 
 /// Parses a pcap byte stream written by PcapWriter (or any LINKTYPE_RAW
 /// big-endian pcap of IPv4 packets). Throws util::TruncatedInput on
-/// malformed input.
+/// malformed input. No command reads captures back; this is the reference
+/// reader the tests check the writer against.
 [[nodiscard]] std::vector<Packet> read_pcap(util::BytesView data);
 [[nodiscard]] std::vector<Packet> load_pcap(const std::string& path);
 

@@ -9,13 +9,10 @@
 #include "inetsim/http.hpp"
 #include "mal/binary.hpp"
 #include "net/packet.hpp"
-#include "core/c2detect.hpp"
-#include "core/offline.hpp"
 #include "net/pcap.hpp"
 #include "dialects.hpp"
 #include "proto/irc.hpp"
 #include "proto/p2p.hpp"
-#include "testkit/scratch.hpp"
 #include "util/rng.hpp"
 
 using namespace malnet;
@@ -187,28 +184,4 @@ TEST(Robustness, BehaviorDecoder) {
   const auto valid = mal::encode_behavior(spec);
   truncation_sweep(valid, decode);
   corruption_sweep(valid, decode);
-}
-
-TEST(Robustness, OfflineRoundTripPreservesAnalysis) {
-  // A saved capture reloaded through the offline path must yield the same
-  // C2 candidates as the live report (artifact-sharing workflow).
-  net::PcapWriter w;
-  for (int i = 0; i < 3; ++i) {
-    net::Packet syn;
-    syn.time = util::SimTime{i * 25'000'000};
-    syn.src = net::Ipv4{10, 77, 0, 16};
-    syn.dst = net::Ipv4{60, 1, 1, 1};
-    syn.proto = net::Protocol::kTcp;
-    syn.src_port = static_cast<net::Port>(50000 + i);
-    syn.dst_port = 23;
-    syn.flags.syn = true;
-    w.add(syn);
-  }
-  const testkit::ScratchDir dir("offline");
-  const std::string path = dir.file("offline.pcap");
-  w.save(path);
-  const auto report = core::report_from_pcap(path);
-  const auto cands = core::detect_c2(report, net::Ipv4{10, 99, 7, 7});
-  ASSERT_EQ(cands.size(), 1u);
-  EXPECT_EQ(cands[0].address, "60.1.1.1");
 }
