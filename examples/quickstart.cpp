@@ -1,6 +1,6 @@
 // Quickstart: run a scaled-down MalNet study end to end and print the
-// headline findings. ~2 seconds; examples/full_study.cpp runs the
-// paper-scale configuration and every table/figure.
+// headline findings. ~2 seconds; bench/bench_paper runs the paper-scale
+// configuration and prints every table and figure.
 #include <iostream>
 
 #include "core/pipeline.hpp"
