@@ -1,5 +1,5 @@
 // Small string helpers shared across parsers (Gafgyt/Daddyl33t text C2
-// protocols, IDS rules, CSV) and report rendering.
+// protocols, IDS rules) and report rendering.
 #pragma once
 
 #include <cstdint>

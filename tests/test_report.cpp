@@ -10,10 +10,8 @@
 #include "report/dataset_io.hpp"
 #include "report/digest.hpp"
 #include "report/dossier.hpp"
-#include "report/export_series.hpp"
 #include "report/tables.hpp"
 #include "testkit/scratch.hpp"
-#include <fstream>
 
 using namespace malnet;
 using namespace malnet::report;
@@ -187,39 +185,6 @@ TEST(Emitters, AllTablesAndFiguresRenderNonEmpty) {
   EXPECT_NE(blocks[0].second.find("D-Samples"), std::string::npos);
   EXPECT_NE(blocks[2].second.find("DNS-based"), std::string::npos);
   EXPECT_NE(blocks[3].second.find("CVE-2018-10561"), std::string::npos);
-}
-
-TEST(Emitters, FigureSeriesExportCoversEveryFigure) {
-  core::PipelineConfig cfg;
-  cfg.seed = 6;
-  cfg.world.total_samples = 150;
-  cfg.probe_rounds = 12;
-  core::Pipeline pipe(cfg);
-  const auto results = pipe.run();
-
-  const auto series = export_figure_series(results, pipe.asdb());
-  for (int fig = 1; fig <= 13; ++fig) {
-    bool found = false;
-    for (const auto& [name, content] : series) {
-      if (name.rfind("fig" + std::to_string(fig) + "_", 0) == 0) {
-        found = true;
-        EXPECT_GT(content.size(), 10u) << name;
-        // Header plus at least one data row for the populated figures.
-        EXPECT_NE(content.find('\n'), std::string::npos) << name;
-      }
-    }
-    EXPECT_TRUE(found) << "no series exported for figure " << fig;
-  }
-
-  // Files land on disk and parse as CSV (header width == row width is
-  // enforced by CsvWriter at generation time; here we check round-trip).
-  const testkit::ScratchDir dir("figure_series");
-  EXPECT_EQ(write_figure_series(results, pipe.asdb(), dir.path()), series.size());
-  std::ifstream f(dir.file("fig13_as_rank.csv"));
-  ASSERT_TRUE(f.good());
-  std::string header;
-  std::getline(f, header);
-  EXPECT_EQ(header, "rank,asn,c2_count,cumulative_fraction");
 }
 
 TEST(DatasetIo, RoundTripIsLossless) {

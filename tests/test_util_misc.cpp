@@ -1,4 +1,4 @@
-// Tests for str, stats, simtime, csv, fsio and thread-pool helpers.
+// Tests for str, stats, simtime, fsio and thread-pool helpers.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,7 +9,6 @@
 #include <numeric>
 
 #include "testkit/scratch.hpp"
-#include "util/csv.hpp"
 #include "util/fsio.hpp"
 #include "util/simtime.hpp"
 #include "util/stats.hpp"
@@ -181,35 +180,6 @@ TEST(SimTime, CivilToStudyDay) {
   EXPECT_EQ(civil_to_study_day(2022, 5, 7), 404);
   // Table 4 publication dates land well before the study.
   EXPECT_LT(civil_to_study_day(2015, 2, 23), -2000);
-}
-
-// --- csv ---------------------------------------------------------------------
-
-TEST(Csv, EscapesSpecialCharacters) {
-  CsvWriter w({"a", "b"});
-  w.field("plain").field("has,comma");
-  w.end_row();
-  w.field("has\"quote").field("line\nbreak");
-  w.end_row();
-  const auto s = w.str();
-  EXPECT_NE(s.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(s.find("\"has\"\"quote\""), std::string::npos);
-  EXPECT_EQ(w.rows(), 2u);
-}
-
-TEST(Csv, EnforcesRowWidth) {
-  CsvWriter w({"a", "b"});
-  w.field("1");
-  EXPECT_THROW(w.end_row(), std::logic_error);
-  w.field("2");
-  EXPECT_THROW(w.field("3"), std::logic_error);
-}
-
-TEST(Csv, NumericFields) {
-  CsvWriter w({"n", "d"});
-  w.field(std::uint64_t{42}).field(3.14159, 2);
-  w.end_row();
-  EXPECT_NE(w.str().find("42,3.14"), std::string::npos);
 }
 
 TEST(Cdf, QuantileAtZeroIsSmallestSample) {
