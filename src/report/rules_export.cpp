@@ -8,15 +8,12 @@
 
 namespace malnet::report {
 
-std::vector<Ioc> build_blocklist(const core::StudyResults& results,
-                                 const RuleExportOptions& opts) {
+std::vector<Ioc> build_blocklist(const core::StudyResults& results) {
   std::vector<Ioc> out;
   std::set<std::string> seen;
 
   for (const auto& [addr, rec] : results.d_c2s) {
-    if (opts.require_live_or_requery && !rec.ever_live() && !rec.vt_malicious_requery) {
-      continue;
-    }
+    if (!rec.ever_live() && !rec.vt_malicious_requery) continue;
     if (!seen.insert(addr).second) continue;
     Ioc ioc;
     ioc.address = addr;
@@ -27,15 +24,13 @@ std::vector<Ioc> build_blocklist(const core::StudyResults& results,
     out.push_back(std::move(ioc));
   }
 
-  if (opts.include_downloaders) {
-    for (const auto& host : results.downloader_hosts) {
-      if (!seen.insert(host).second) continue;  // usually already a C2 (§3.1)
-      Ioc ioc;
-      ioc.address = host;
-      ioc.port = 80;  // "All downloader servers host on http port 80" (§3.1)
-      ioc.reason = "malware downloader";
-      out.push_back(std::move(ioc));
-    }
+  for (const auto& host : results.downloader_hosts) {
+    if (!seen.insert(host).second) continue;  // usually already a C2 (§3.1)
+    Ioc ioc;
+    ioc.address = host;
+    ioc.port = 80;  // "All downloader servers host on http port 80" (§3.1)
+    ioc.reason = "malware downloader";
+    out.push_back(std::move(ioc));
   }
   return out;
 }
@@ -77,13 +72,12 @@ std::set<vulndb::VulnId> observed_vulns(const core::StudyResults& results) {
 
 }  // namespace
 
-std::string export_snort_rules(const core::StudyResults& results,
-                               const RuleExportOptions& opts) {
+std::string export_snort_rules(const core::StudyResults& results) {
   std::ostringstream os;
   os << "# MalNet generated ruleset — C2 blocklist + exploit signatures\n";
 
   std::uint32_t sid = 1000001;
-  for (const auto& ioc : build_blocklist(results, opts)) {
+  for (const auto& ioc : build_blocklist(results)) {
     if (ioc.is_dns) {
       // IP rules can't carry names; emit a DNS-query alert keyed on the
       // name instead (perimeter resolvers can act on it).
@@ -140,34 +134,9 @@ std::string export_snort_rules(const core::StudyResults& results,
   return os.str();
 }
 
-std::string export_iptables(const core::StudyResults& results,
-                            const RuleExportOptions& opts) {
-  std::ostringstream os;
-  os << "# MalNet blocklist (iptables-restore fragment)\n*filter\n";
-  for (const auto& ioc : build_blocklist(results, opts)) {
-    if (ioc.is_dns) {
-      os << "# domain IoC (needs a resolver RPZ): " << ioc.address << "  # "
-         << ioc.reason << '\n';
-      continue;
-    }
-    os << "-A FORWARD -d " << ioc.address << " -j DROP  # " << ioc.reason
-       << ", first seen day " << ioc.first_seen_day << '\n';
-  }
-  os << "COMMIT\n";
-  return os.str();
-}
-
-std::string export_plain_blocklist(const core::StudyResults& results,
-                                   const RuleExportOptions& opts) {
-  std::ostringstream os;
-  for (const auto& ioc : build_blocklist(results, opts)) os << ioc.address << '\n';
-  return os.str();
-}
-
-ids::RuleSet compile_exported_rules(const core::StudyResults& results,
-                                    const RuleExportOptions& opts) {
+ids::RuleSet compile_exported_rules(const core::StudyResults& results) {
   ids::ParseError err;
-  auto set = ids::RuleSet::parse(export_snort_rules(results, opts), &err);
+  auto set = ids::RuleSet::parse(export_snort_rules(results), &err);
   if (!set) {
     throw std::runtime_error("generated rule failed to parse at line " +
                              std::to_string(err.line) + ": " + err.message);

@@ -1,11 +1,16 @@
 // Actionable-intelligence export — the deployment story of §1 ("Potential
-// Impact"): turn the study's datasets into (a) firewall rules and IoC
-// blocklists for the network perimeter, and (b) IDS signatures for the
-// exploits the handshaker captured.
+// Impact"): turn the study's datasets into SNORT-dialect rules, `malnetctl
+// export-rules`' output. Drop rules cover the verified C2 and downloader
+// blocklist; alert rules carry the signatures of the exploits the
+// handshaker captured and of the attacks the study observed.
 //
-// The SNORT-dialect output is round-trippable through this project's own
-// ids::RuleSet parser, which the tests exploit: every generated rule must
-// parse, and must actually match the traffic it was generated from.
+// Only C2s confirmed live or by a VirusTotal re-query make the blocklist
+// (the false-positive inflation §3.3 warns about), and the dedicated
+// downloader hosts always join it (§3.1 co-hosting).
+//
+// The output is round-trippable through this project's own ids::RuleSet
+// parser, which the tests exploit: every generated rule must parse, and
+// must actually match the traffic it was generated from.
 #pragma once
 
 #include <string>
@@ -15,14 +20,6 @@
 #include "ids/rules.hpp"
 
 namespace malnet::report {
-
-struct RuleExportOptions {
-  /// Only C2s confirmed this way make the blocklist (avoid the false
-  /// positive inflation §3.3 warns about).
-  bool require_live_or_requery = true;
-  /// Emit rules blocking the downloader hosts too (§3.1 co-hosting).
-  bool include_downloaders = true;
-};
 
 /// One IoC entry of the blocklist.
 struct Ioc {
@@ -34,27 +31,16 @@ struct Ioc {
 };
 
 /// Extracts the blocklist from the study datasets.
-[[nodiscard]] std::vector<Ioc> build_blocklist(const core::StudyResults& results,
-                                               const RuleExportOptions& opts = {});
+[[nodiscard]] std::vector<Ioc> build_blocklist(const core::StudyResults& results);
 
 /// Renders SNORT-dialect drop rules for every IoC (sid range 1000xxx) and
 /// exploit-signature alert rules for every vulnerability observed in
 /// D-Exploits (sid range 2000xxx, content = the vulndb signature).
-[[nodiscard]] std::string export_snort_rules(const core::StudyResults& results,
-                                             const RuleExportOptions& opts = {});
-
-/// Same intelligence as an iptables-restore style script (comment-annotated).
-[[nodiscard]] std::string export_iptables(const core::StudyResults& results,
-                                          const RuleExportOptions& opts = {});
-
-/// Plain one-address-per-line blocklist (the format TI feeds exchange).
-[[nodiscard]] std::string export_plain_blocklist(const core::StudyResults& results,
-                                                 const RuleExportOptions& opts = {});
+[[nodiscard]] std::string export_snort_rules(const core::StudyResults& results);
 
 /// Parses the generated SNORT rules back through the in-tree IDS engine.
 /// Throws std::runtime_error if any generated rule fails to parse — used
 /// as a self-check before shipping rules to a real device.
-[[nodiscard]] ids::RuleSet compile_exported_rules(const core::StudyResults& results,
-                                                  const RuleExportOptions& opts = {});
+[[nodiscard]] ids::RuleSet compile_exported_rules(const core::StudyResults& results);
 
 }  // namespace malnet::report
