@@ -333,9 +333,9 @@ void Sandbox::start(util::BytesView binary, SandboxOptions opts, RunCallback don
                           new Run(*this, id, net_.scheduler(), std::move(done))));
     return;
   }
-  bool supported = false;
-  for (const auto arch : cfg_.supported_archs) supported |= arch == content->arch;
-  if (!supported) {
+  // Like the study's CnCHunter deployment, the sandbox emulates MIPS-32
+  // only (§2.1); §6d names broader support as the scaling path.
+  if (content->arch != mal::Arch::kMips32) {
     auto run = std::unique_ptr<Run>(new Run(*this, id, net_.scheduler(), std::move(done)));
     run->report_.parsed = true;
     run->report_.unsupported_arch = true;

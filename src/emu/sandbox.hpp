@@ -73,7 +73,7 @@ struct ExploitCapture {
 
 struct SandboxReport {
   bool parsed = false;          // binary container parsed
-  bool unsupported_arch = false;  // parsed, but not an emulatable CPU (§6d)
+  bool unsupported_arch = false;  // parsed, but not MIPS-32 (§2.1, §6d)
   bool activated = false;       // emitted at least one packet
   bool evasion_abort = false;   // sample detected the sandbox and bailed
   std::vector<net::Packet> capture;      // guest-side, both directions
@@ -97,9 +97,6 @@ struct SandboxConfig {
   std::uint64_t seed = 7;
   /// Guest/victim addresses are carved from here (two per run).
   net::Subnet guest_pool{net::Ipv4{10, 77, 0, 0}, 16};
-  /// CPU architectures this sandbox can emulate. The study's sandbox is
-  /// MIPS-32-only (§2.1); §6d names broader support as the scaling path.
-  std::vector<mal::Arch> supported_archs{mal::Arch::kMips32};
   /// Observability sink (owned by the enclosing pipeline; may be null).
   /// Runs and reports are counted in its registry; completed runs emit
   /// trace spans when its tracer is enabled.

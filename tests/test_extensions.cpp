@@ -1,5 +1,6 @@
 // Extension features beyond the paper's evaluation: actionable-rule export
-// (§1 "Potential Impact") and multi-architecture sandbox gating (§6d).
+// (§1 "Potential Impact") and the sandbox's MIPS-32 architecture gate
+// (§2.1, §6d).
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
@@ -106,49 +107,34 @@ TEST(RulesExport, PipelineOutputCompilesCleanly) {
   EXPECT_GT(set.size(), 20u);
 }
 
-// --- multi-architecture gating -----------------------------------------------
+// --- architecture gate -------------------------------------------------------
 
 TEST(MultiArch, SandboxRejectsUnsupportedArch) {
-  sim::EventScheduler sched;
-  sim::Network net(sched);
-  emu::Sandbox sandbox(net);  // MIPS-32 only by default
+  // The study's feeds plant ARM and x86 builds (botnet/world.cpp); the
+  // MIPS-32-only sandbox must reject both without running them.
+  for (const auto arch : {mal::Arch::kArm32, mal::Arch::kX86}) {
+    SCOPED_TRACE(static_cast<int>(arch));
+    sim::EventScheduler sched;
+    sim::Network net(sched);
+    emu::Sandbox sandbox(net);
 
-  mal::MbfBinary bin;
-  bin.arch = mal::Arch::kArm32;
-  bin.behavior.family = proto::Family::kMirai;
-  bin.behavior.c2_ip = net::Ipv4{60, 1, 1, 1};
-  util::Rng rng(1);
-  emu::SandboxReport report;
-  bool done = false;
-  sandbox.start(mal::forge(bin, rng), {}, [&](const emu::SandboxReport& r) {
-    report = r;
-    done = true;
-  });
-  sched.run_until(sched.now() + sim::Duration::minutes(1));
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(report.parsed);
-  EXPECT_TRUE(report.unsupported_arch);
-  EXPECT_FALSE(report.activated);
-}
-
-TEST(MultiArch, ExtendedSandboxRunsArm) {
-  sim::EventScheduler sched;
-  sim::Network net(sched);
-  emu::SandboxConfig cfg;
-  cfg.supported_archs = {mal::Arch::kMips32, mal::Arch::kArm32};  // §6d scale-up
-  emu::Sandbox sandbox(net, cfg);
-
-  mal::MbfBinary bin;
-  bin.arch = mal::Arch::kArm32;
-  bin.behavior.family = proto::Family::kMirai;
-  bin.behavior.c2_ip = net::Ipv4{60, 1, 1, 1};
-  bin.behavior.c2_port = 23;
-  util::Rng rng(2);
-  emu::SandboxReport report;
-  sandbox.start(mal::forge(bin, rng), {}, [&](const emu::SandboxReport& r) { report = r; });
-  sched.run_until(sched.now() + sim::Duration::minutes(12));
-  EXPECT_FALSE(report.unsupported_arch);
-  EXPECT_TRUE(report.activated);
+    mal::MbfBinary bin;
+    bin.arch = arch;
+    bin.behavior.family = proto::Family::kMirai;
+    bin.behavior.c2_ip = net::Ipv4{60, 1, 1, 1};
+    util::Rng rng(1);
+    emu::SandboxReport report;
+    bool done = false;
+    sandbox.start(mal::forge(bin, rng), {}, [&](const emu::SandboxReport& r) {
+      report = r;
+      done = true;
+    });
+    sched.run_until(sched.now() + sim::Duration::minutes(1));
+    ASSERT_TRUE(done);
+    EXPECT_TRUE(report.parsed);
+    EXPECT_TRUE(report.unsupported_arch);
+    EXPECT_FALSE(report.activated);
+  }
 }
 
 TEST(RulesExport, AttackParticipationSignatures) {
