@@ -10,13 +10,6 @@ const std::vector<net::Port>& table5_ports() {
   return kPorts;
 }
 
-std::vector<net::Endpoint> ProbeWorld::c2_endpoints() const {
-  std::vector<net::Endpoint> out;
-  out.reserve(c2s.size());
-  for (const auto& c2 : c2s) out.push_back(c2->endpoint());
-  return out;
-}
-
 ProbeWorld build_probe_world(sim::Network& net, const ProbeWorldConfig& cfg) {
   ProbeWorld world;
   util::Rng rng(cfg.seed, util::fnv1a64("probe-world"));

@@ -30,8 +30,6 @@ struct ProbeWorld {
   std::vector<net::Subnet> subnets;
   std::vector<std::unique_ptr<C2Server>> c2s;
   std::vector<std::unique_ptr<inetsim::BannerHost>> banners;
-
-  [[nodiscard]] std::vector<net::Endpoint> c2_endpoints() const;
 };
 
 /// Builds the environment on `net`. C2 families alternate Gafgyt/Mirai so

@@ -14,10 +14,6 @@ void DnsServer::add_record(const std::string& name, net::Ipv4 address) {
   zone_[util::to_lower(name)] = address;
 }
 
-void DnsServer::remove_record(const std::string& name) {
-  zone_.erase(util::to_lower(name));
-}
-
 void DnsServer::handle_query(const net::Packet& p) {
   const auto query = decode(p.payload);
   if (!query || query->is_response || query->questions.empty()) return;

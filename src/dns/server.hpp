@@ -29,7 +29,6 @@ class DnsServer : public sim::Host {
 
   /// Adds or replaces an A record.
   void add_record(const std::string& name, net::Ipv4 address);
-  void remove_record(const std::string& name);
 
   /// In wildcard mode every unknown name resolves to `address`.
   void set_wildcard(std::optional<net::Ipv4> address) { wildcard_ = address; }

@@ -118,13 +118,4 @@ HttpResponse ok_response(std::string body, std::string content_type) {
   return r;
 }
 
-HttpResponse not_found_response() {
-  HttpResponse r;
-  r.status = 404;
-  r.reason = "Not Found";
-  r.headers["server"] = "inetsim/1.0";
-  r.body = "not found";
-  return r;
-}
-
 }  // namespace malnet::inetsim

@@ -38,9 +38,8 @@ struct HttpResponse {
 /// Parses a complete response. Same completeness rules as parse_request.
 [[nodiscard]] std::optional<HttpResponse> parse_response(std::string_view data);
 
-/// Convenience 200/404 builders with sensible headers.
+/// Convenience 200 builder with sensible headers.
 [[nodiscard]] HttpResponse ok_response(std::string body,
                                        std::string content_type = "text/plain");
-[[nodiscard]] HttpResponse not_found_response();
 
 }  // namespace malnet::inetsim

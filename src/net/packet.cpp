@@ -56,12 +56,6 @@ std::string Packet::summary() const {
   return os.str();
 }
 
-FlowKey FlowKey::of(const Packet& p) {
-  const Endpoint s = p.source(), d = p.destination();
-  if (s <= d) return {s, d, p.proto};
-  return {d, s, p.proto};
-}
-
 util::Bytes to_wire(const Packet& p) {
   // Transport segment first (checksum needs total length).
   util::ByteWriter seg;

@@ -63,18 +63,6 @@ struct Packet {
   [[nodiscard]] std::string summary() const;
 };
 
-/// A bidirectional flow key: canonical ordering so both directions of a
-/// conversation map to the same key.
-struct FlowKey {
-  Endpoint a;  // lexicographically smaller endpoint
-  Endpoint b;
-  Protocol proto = Protocol::kTcp;
-
-  constexpr auto operator<=>(const FlowKey&) const = default;
-
-  static FlowKey of(const Packet& p);
-};
-
 /// Serializes a packet as IPv4 wire bytes (IPv4 header + TCP/UDP/ICMP header
 /// + payload), with correct header checksums.
 [[nodiscard]] util::Bytes to_wire(const Packet& p);

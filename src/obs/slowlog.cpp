@@ -30,11 +30,6 @@ std::string hex64(std::uint64_t v) {
 SlowLog::SlowLog(std::size_t capacity, std::int64_t threshold_us)
     : capacity_(capacity == 0 ? 1 : capacity), threshold_us_(threshold_us) {}
 
-void SlowLog::set_threshold(std::int64_t threshold_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  threshold_us_ = threshold_us;
-}
-
 std::int64_t SlowLog::threshold_us() const {
   std::lock_guard<std::mutex> lock(mu_);
   return threshold_us_;

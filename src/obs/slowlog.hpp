@@ -29,7 +29,6 @@ class SlowLog {
  public:
   explicit SlowLog(std::size_t capacity = 32, std::int64_t threshold_us = 10'000);
 
-  void set_threshold(std::int64_t threshold_us);
   [[nodiscard]] std::int64_t threshold_us() const;
 
   /// Re-bounds the log (evicting the fastest retained entries if the new

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <sstream>
 
 namespace malnet::util {
 
@@ -35,12 +34,6 @@ void ByteWriter::lp16(BytesView data) {
 
 void ByteWriter::lp16(std::string_view data) {
   lp16(BytesView{reinterpret_cast<const std::uint8_t*>(data.data()), data.size()});
-}
-
-void ByteWriter::patch_u16(std::size_t offset, std::uint16_t v) {
-  if (offset + 2 > buf_.size()) throw std::out_of_range("patch_u16 out of range");
-  buf_[offset] = static_cast<std::uint8_t>(v >> 8);
-  buf_[offset + 1] = static_cast<std::uint8_t>(v);
 }
 
 void ByteReader::need(std::size_t n) const {
@@ -97,34 +90,6 @@ Bytes ByteReader::lp16() { return raw(u16()); }
 void ByteReader::skip(std::size_t n) {
   need(n);
   pos_ += n;
-}
-
-std::string hexdump(BytesView data, std::size_t max_bytes) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::ostringstream os;
-  const std::size_t n = std::min(data.size(), max_bytes);
-  for (std::size_t row = 0; row < n; row += 16) {
-    os << kHex[(row >> 12) & 0xF] << kHex[(row >> 8) & 0xF] << kHex[(row >> 4) & 0xF]
-       << kHex[row & 0xF] << "  ";
-    for (std::size_t i = 0; i < 16; ++i) {
-      if (row + i < n) {
-        os << kHex[data[row + i] >> 4] << kHex[data[row + i] & 0xF] << ' ';
-      } else {
-        os << "   ";
-      }
-      if (i == 7) os << ' ';
-    }
-    os << " |";
-    for (std::size_t i = 0; i < 16 && row + i < n; ++i) {
-      const char c = static_cast<char>(data[row + i]);
-      os << (std::isprint(static_cast<unsigned char>(c)) ? c : '.');
-    }
-    os << "|\n";
-  }
-  if (data.size() > max_bytes) {
-    os << "... (" << data.size() - max_bytes << " more bytes)\n";
-  }
-  return os.str();
 }
 
 namespace {

@@ -44,10 +44,6 @@ class ByteWriter {
   [[nodiscard]] Bytes take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
-  /// Patches a previously written u16 at `offset` (used for length fields
-  /// whose value is known only after the payload is written).
-  void patch_u16(std::size_t offset, std::uint16_t v);
-
  private:
   Bytes buf_;
 };
@@ -77,9 +73,6 @@ class ByteReader {
   BytesView data_;
   std::size_t pos_ = 0;
 };
-
-/// Renders `data` in classic hexdump format (offset, hex, ASCII gutter).
-[[nodiscard]] std::string hexdump(BytesView data, std::size_t max_bytes = 256);
 
 /// Hex string ("dead beef" tolerant of spaces) -> bytes. Throws on odd
 /// nibble counts or non-hex characters.

@@ -1,17 +1,10 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
-#include <stdexcept>
 
 namespace malnet::util {
-
-Cdf::Cdf(std::span<const double> samples) : data_(samples.begin(), samples.end()) {
-  sorted_ = false;
-  ensure_sorted();
-}
 
 void Cdf::add(double x) {
   data_.push_back(x);
@@ -50,18 +43,6 @@ double Cdf::at(double x) const {
   return static_cast<double>(it - data_.begin()) / static_cast<double>(data_.size());
 }
 
-double Cdf::quantile(double q) const {
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("Cdf::quantile: q out of [0,1]");
-  if (data_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  ensure_sorted();
-  // Clamp in double space: q=0 would otherwise produce -1 before the
-  // unsigned cast.
-  const double raw = std::ceil(q * static_cast<double>(data_.size())) - 1;
-  const double clamped =
-      std::clamp(raw, 0.0, static_cast<double>(data_.size() - 1));
-  return data_[static_cast<std::size_t>(clamped)];
-}
-
 double Cdf::mass_at(double x) const {
   if (data_.empty()) return 0.0;
   ensure_sorted();
@@ -80,44 +61,6 @@ std::vector<std::pair<double, double>> Cdf::steps() const {
     }
   }
   return out;
-}
-
-void Histogram::add(std::int64_t key, std::uint64_t weight) {
-  bins_[key] += weight;
-  total_ += weight;
-}
-
-std::uint64_t Histogram::at(std::int64_t key) const {
-  const auto it = bins_.find(key);
-  return it == bins_.end() ? 0 : it->second;
-}
-
-std::int64_t Histogram::mode() const {
-  if (bins_.empty()) return 0;
-  auto best = bins_.begin();
-  for (auto it = bins_.begin(); it != bins_.end(); ++it) {
-    if (it->second > best->second) best = it;
-  }
-  return best->first;
-}
-
-double mean_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
-  const double mx = mean_of(xs), my = mean_of(ys);
-  double sxy = 0, sxx = 0, syy = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx, dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace malnet::util

@@ -79,29 +79,6 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) {
   return v;
 }
 
-std::optional<double> parse_double(std::string_view s) {
-  if (s.empty()) return std::nullopt;
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
-std::string format_args(std::string_view fmt, const std::vector<std::string>& args) {
-  std::string out;
-  std::size_t arg = 0;
-  for (std::size_t i = 0; i < fmt.size(); ++i) {
-    if (i + 1 < fmt.size() && fmt[i] == '{' && fmt[i + 1] == '}') {
-      out += arg < args.size() ? args[arg] : std::string("{}");
-      ++arg;
-      ++i;
-    } else {
-      out += fmt[i];
-    }
-  }
-  return out;
-}
-
 std::string pad_left(std::string_view s, std::size_t width) {
   if (s.size() >= width) return std::string(s);
   return std::string(width - s.size(), ' ') + std::string(s);

@@ -27,11 +27,6 @@ namespace malnet::util {
 
 /// Strict unsigned parse; rejects empty strings, signs, and trailing junk.
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view s);
-[[nodiscard]] std::optional<double> parse_double(std::string_view s);
-
-/// printf-lite replacement: substitutes "{}" occurrences in order.
-[[nodiscard]] std::string format_args(std::string_view fmt,
-                                      const std::vector<std::string>& args);
 
 /// Fixed-width left/right padding with spaces (for ASCII tables).
 [[nodiscard]] std::string pad_left(std::string_view s, std::size_t width);

@@ -315,19 +315,4 @@ std::optional<VulnDatabase::ExtractedDownloader> VulnDatabase::extract_downloade
   return std::nullopt;
 }
 
-std::vector<net::Port> VulnDatabase::exploit_ports() const {
-  std::vector<net::Port> ports;
-  for (const auto& v : vulns_) {
-    bool seen = false;
-    for (const auto p : ports) {
-      if (p == v.port) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) ports.push_back(v.port);
-  }
-  return ports;
-}
-
 }  // namespace malnet::vulndb

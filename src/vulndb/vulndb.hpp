@@ -113,9 +113,6 @@ class VulnDatabase {
 
   [[nodiscard]] const std::vector<LoaderInfo>& loaders() const { return loaders_; }
 
-  /// Distinct delivery ports across all vulnerabilities (scan-port universe).
-  [[nodiscard]] std::vector<net::Port> exploit_ports() const;
-
  private:
   VulnDatabase();
   std::vector<Vulnerability> vulns_;

@@ -103,17 +103,6 @@ TEST(DnsServer, WildcardMode) {
   EXPECT_EQ(*got, (net::Ipv4{10, 99, 7, 7}));
 }
 
-TEST(DnsServer, RecordRemoval) {
-  DnsWorld w;
-  w.server.add_record("x.y", net::Ipv4{1, 1, 1, 2});
-  w.server.remove_record("x.y");
-  std::optional<net::Ipv4> got = net::Ipv4{9, 9, 9, 1};
-  resolve(w.client, {w.server.addr(), 53}, "x.y",
-          [&](std::optional<net::Ipv4> ip) { got = ip; });
-  w.sched.run();
-  EXPECT_FALSE(got);
-}
-
 TEST(DnsServer, DropsQueriesWhoseNameCannotBeEchoed) {
   // A bit-flipped query: the 'o' of "echo" became '.', so the decoded name
   // holds an empty label that encode() cannot write back into a reply.

@@ -30,12 +30,6 @@ TEST(Http, ResponseRoundTrip) {
   EXPECT_EQ(parsed->headers.at("content-type"), "text/x-sh");
 }
 
-TEST(Http, NotFoundBuilder) {
-  const auto parsed = parse_response(not_found_response().serialize());
-  ASSERT_TRUE(parsed);
-  EXPECT_EQ(parsed->status, 404);
-}
-
 TEST(Http, ParseRejectsIncompleteBody) {
   EXPECT_FALSE(parse_request("GET / HTTP/1.1\r\ncontent-length: 10\r\n\r\nshort"));
   EXPECT_FALSE(parse_request("GET / HTTP/1.1\r\n"));      // no blank line

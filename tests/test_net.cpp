@@ -141,14 +141,6 @@ TEST(TcpFlags, ByteRoundTrip) {
   EXPECT_EQ(f.to_string(), "SA");
 }
 
-TEST(FlowKey, CanonicalAcrossDirections) {
-  Packet fwd = make_tcp();
-  Packet rev = fwd;
-  std::swap(rev.src, rev.dst);
-  std::swap(rev.src_port, rev.dst_port);
-  EXPECT_EQ(FlowKey::of(fwd), FlowKey::of(rev));
-}
-
 TEST(Checksum, KnownVector) {
   // RFC 1071 example bytes.
   const auto data = util::from_hex("0001 f203 f4f5 f6f7");

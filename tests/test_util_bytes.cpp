@@ -22,20 +22,6 @@ TEST(ByteWriter, LengthPrefixedBlob) {
   EXPECT_EQ(w.bytes(), from_hex("0003 616263"));
 }
 
-TEST(ByteWriter, PatchU16) {
-  ByteWriter w;
-  w.u16(0);
-  w.raw(std::string_view("xy"));
-  w.patch_u16(0, 2);
-  EXPECT_EQ(w.bytes(), from_hex("0002 7879"));
-}
-
-TEST(ByteWriter, PatchOutOfRangeThrows) {
-  ByteWriter w;
-  w.u8(1);
-  EXPECT_THROW(w.patch_u16(0, 1), std::out_of_range);
-}
-
 TEST(ByteReader, ReadsBackWhatWriterWrote) {
   ByteWriter w;
   w.u8(7);
@@ -81,18 +67,6 @@ TEST(Hex, RoundTrip) {
 TEST(Hex, RejectsOddNibbles) { EXPECT_THROW(from_hex("abc"), std::invalid_argument); }
 
 TEST(Hex, RejectsNonHex) { EXPECT_THROW(from_hex("zz"), std::invalid_argument); }
-
-TEST(Hexdump, ShowsOffsetsAndAscii) {
-  const auto dump = hexdump(to_bytes("Hello, world!"));
-  EXPECT_NE(dump.find("48 65 6c 6c 6f"), std::string::npos);
-  EXPECT_NE(dump.find("|Hello, world!|"), std::string::npos);
-}
-
-TEST(Hexdump, TruncatesLongInput) {
-  const Bytes big(1000, 0x41);
-  const auto dump = hexdump(big, 64);
-  EXPECT_NE(dump.find("more bytes"), std::string::npos);
-}
 
 TEST(Contains, FindsSubsequences) {
   const Bytes hay = to_bytes("the quick brown fox");

@@ -107,8 +107,6 @@ TEST(VulnDb, ExploitPortsAreTheRealWorldOnes) {
   EXPECT_EQ(db.by_id(VulnId::kMvpowerDvr).port, 60001);
   EXPECT_EQ(db.by_id(VulnId::kEirD1000).port, 7547);
   EXPECT_EQ(db.by_id(VulnId::kGpon10561).port, 8080);
-  const auto ports = db.exploit_ports();
-  EXPECT_GE(ports.size(), 5u);
 }
 
 // Parameterized: every vulnerability's template must render, self-match and
