@@ -1,7 +1,6 @@
 #include "obs/profile.hpp"
 
 #include <cstdio>
-#include <sstream>
 
 namespace malnet::obs {
 
@@ -64,22 +63,6 @@ std::string ProfileSnapshot::render_table() const {
                 static_cast<unsigned long long>(total_sim_events()));
   out += line;
   return out;
-}
-
-std::string ProfileSnapshot::to_json() const {
-  std::ostringstream os;
-  os << "{\"phases\":{";
-  bool first = true;
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    const PhaseStats& s = phases[i];
-    if (!first) os << ',';
-    first = false;
-    os << '"' << to_string(static_cast<Phase>(i)) << "\":{\"wall_ns\":" << s.wall_ns
-       << ",\"sim_events\":" << s.sim_events << ",\"ops\":" << s.ops
-       << ",\"entries\":" << s.entries << '}';
-  }
-  os << "}}";
-  return os.str();
 }
 
 }  // namespace malnet::obs

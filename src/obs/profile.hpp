@@ -74,10 +74,6 @@ struct ProfileSnapshot {
 
   /// Fixed-width text table (the `malnetctl study --profile` output).
   [[nodiscard]] std::string render_table() const;
-
-  /// Deterministic-shape JSON ({"phases":{"sandbox":{...},...}}); the
-  /// wall_ns values inside are wall-clock and vary run to run.
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// RAII wall-clock accumulator for non-event-loop work.

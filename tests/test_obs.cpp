@@ -287,10 +287,6 @@ TEST(Profile, MergeAddsAndTableRenders) {
   EXPECT_NE(table.find("campaign"), std::string::npos);
   // Idle phases are not rendered.
   EXPECT_EQ(table.find("live-watch"), std::string::npos);
-
-  const auto doc = json::parse(a.to_json());
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->at_path("phases.sandbox.sim_events")->number, 14.0);
 }
 
 // --- scheduler phase tags ----------------------------------------------------
